@@ -198,8 +198,9 @@ func runAppend(client *http.Client, addr, stream string, cols, chunks, chunkRows
 		}
 		req := map[string]any{"rows": rows}
 		if c == 0 {
-			// Cols only matters when the first chunk creates the stream;
-			// the server ignores a matching value on later chunks.
+			// The first chunk's cols creates the stream, or must match
+			// an existing stream's shape (the server answers 409
+			// otherwise). Later chunks omit it.
 			req["cols"] = cols
 		}
 		body, err := json.Marshal(req)

@@ -17,6 +17,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"dimmwitted/internal/mat"
 )
@@ -77,7 +78,8 @@ type Dataset struct {
 	// for a smaller matrix are never reused after growth.
 	Version uint64
 
-	csc *mat.CSC
+	cscOnce sync.Once
+	csc     *mat.CSC
 }
 
 // Rows returns the number of examples N.
@@ -89,12 +91,14 @@ func (d *Dataset) Cols() int { return d.A.Cols }
 // NNZ returns the number of nonzeros of the data matrix.
 func (d *Dataset) NNZ() int64 { return d.A.NNZ() }
 
-// CSC returns (and caches) the column-oriented form of the data
-// matrix, which column-wise and column-to-row plans stream.
+// CSC returns the column-oriented form of the data matrix, which
+// column-wise and column-to-row plans stream. It is built on first use,
+// exactly once, and is safe to call from concurrent goroutines: a
+// published view can be shared by several engines before any of them
+// asks for its columns, and a view nobody reads column-wise never pays
+// for the copy.
 func (d *Dataset) CSC() *mat.CSC {
-	if d.csc == nil {
-		d.csc = d.A.ToCSC()
-	}
+	d.cscOnce.Do(func() { d.csc = d.A.ToCSC() })
 	return d.csc
 }
 

@@ -10,10 +10,10 @@ import (
 // name their dataset ("reuters", "rcv1", ...) and the registry hands
 // back an immutable published view. Generation is deterministic but not
 // free, so each dataset is built once, wrapped in a frozen Handle and
-// cached; the CSC form is materialised eagerly so published views are
-// immutable and safe for concurrent engines. Stream datasets (created
-// by EnsureStream, grown by Append) live in the same namespace under
-// growable handles.
+// cached. Like every Dataset, a published view builds its CSC form on
+// first use, exactly once and race-safely, so views are safe to share
+// across concurrent engines. Stream datasets (created by EnsureStream,
+// grown by Append) live in the same namespace under growable handles.
 
 var registry = map[string]func() *Dataset{
 	"rcv1":       RCV1,
@@ -67,9 +67,10 @@ func registryNames() []string {
 }
 
 // ByName returns the current published view of a named dataset. The
-// returned dataset is immutable (CSC included) and safe to share across
-// goroutines: appends to a stream publish a fresh view rather than
-// mutating an already-returned one, so no caller can race another.
+// returned dataset is immutable (its lazily built CSC included) and
+// safe to share across goroutines: appends to a stream publish a fresh
+// view rather than mutating an already-returned one, so no caller can
+// race another.
 func ByName(name string) (*Dataset, error) {
 	h, err := HandleByName(name)
 	if err != nil {
@@ -93,7 +94,6 @@ func HandleByName(name string) (*Handle, error) {
 	}
 	cacheMu.Unlock()
 	ds := gen()
-	ds.CSC() // materialise the lazy column form before sharing
 	ds.Version = 1
 	cacheMu.Lock()
 	if h, ok := handles[name]; ok {

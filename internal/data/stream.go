@@ -210,7 +210,9 @@ func (h *Handle) publishLocked(version uint64) *Dataset {
 	return ds
 }
 
-// prefixLocked materialises the immutable view over the first n rows.
+// prefixLocked builds the immutable view over the first n rows in O(1):
+// it slices the store and copies nothing. The view's column form is
+// built lazily, on its first CSC call, so an append costs O(chunk).
 func (h *Handle) prefixLocked(n int, version uint64) *Dataset {
 	nnz := h.rowPtr[n]
 	ds := &Dataset{
@@ -226,7 +228,6 @@ func (h *Handle) prefixLocked(n int, version uint64) *Dataset {
 		Labels:  h.labels[:n:n],
 		Version: version,
 	}
-	ds.CSC() // materialise the lazy column form before sharing
 	return ds
 }
 

@@ -3,9 +3,12 @@ package data
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"dimmwitted/internal/mat"
 )
 
 // streamRows generates deterministic sparse rows for stream tests.
@@ -392,5 +395,58 @@ func TestStreamConcurrentReadersWhileAppending(t *testing.T) {
 	wg.Wait()
 	if v := h.View(); v.Rows() != 40+20*25 {
 		t.Fatalf("final rows = %d, want %d", v.Rows(), 40+20*25)
+	}
+}
+
+// TestStreamLazyCSCSharedRaceFree pins the publication contract: an
+// append publishes a view without building its column form, and the
+// first concurrent CSC callers on a shared view race to build it
+// exactly once. Every caller gets the same pointer, equal to a fresh
+// ToCSC of the view's prefix. ViewAt rebuilds follow the same rule.
+func TestStreamLazyCSCSharedRaceFree(t *testing.T) {
+	const cols, chunks, readers = 24, 5, 8
+	h := NewStream("lazy-csc", cols, Classification)
+	for c := 0; c < chunks; c++ {
+		if _, err := h.Append(streamRows(int64(70+c), 30, cols)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at, err := h.ViewAt(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Dataset{h.View(), at} {
+		if v.csc != nil {
+			t.Fatalf("view at %d rows holds a CSC before any column read", v.Rows())
+		}
+		got := make([]*mat.CSC, readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				got[r] = v.CSC()
+			}(r)
+		}
+		wg.Wait()
+		for r := 1; r < readers; r++ {
+			if got[r] != got[0] {
+				t.Fatalf("reader %d got a different CSC pointer: the column form was built twice", r)
+			}
+		}
+		if want := v.A.ToCSC(); !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("view at %d rows: lazy CSC differs from ToCSC of its prefix", v.Rows())
+		}
+	}
+	// Later appends leave already-published views (and their CSC) alone.
+	before := h.View()
+	if _, err := h.Append(streamRows(99, 10, cols)); err != nil {
+		t.Fatal(err)
+	}
+	if h.View().csc != nil {
+		t.Fatal("append built the new view's CSC eagerly")
+	}
+	if before.CSC().Rows != before.Rows() {
+		t.Fatalf("pinned view's CSC covers %d rows, want %d", before.CSC().Rows, before.Rows())
 	}
 }

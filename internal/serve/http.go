@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -89,7 +91,7 @@ func NewServer(opts Options) *Server {
 // histogram count equals the requests issued against the route. The
 // body is capped at Options.MaxBodyBytes on every route, so no POST
 // handler can be fed an unbounded payload; an overrun surfaces from
-// the handler's decode as *http.MaxBytesError (see decodeJSON).
+// the handler's body read as *http.MaxBytesError (see writeBodyError).
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	hist := &metrics.Histogram{}
 	s.latency[pattern] = hist
@@ -149,16 +151,22 @@ func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 // prefix). Returns false once the error response has been written.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, what string) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%s body exceeds the %d-byte limit (raise -max-body-bytes)", what, tooBig.Limit))
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s request: %w", what, err))
+		s.writeBodyError(w, err, what)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a failed body read or decode: 413 naming the
+// limit when the body cap tripped, 400 otherwise.
+func (s *Server) writeBodyError(w http.ResponseWriter, err error, what string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%s body exceeds the %d-byte limit (raise -max-body-bytes)", what, tooBig.Limit))
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s request: %w", what, err))
 }
 
 // trainResponse acknowledges a submitted job.
@@ -373,7 +381,8 @@ type appendRowJSON struct {
 
 // appendRequest ingests a chunk of rows into a stream dataset. Cols
 // (and optionally Task) create the stream on the first append to an
-// unknown id; later chunks may omit them.
+// unknown id; later chunks may omit them, and a chunk that repeats them
+// must match the stream's shape or is refused with 409.
 type appendRequest struct {
 	Rows []appendRowJSON `json:"rows"`
 	Cols int             `json:"cols,omitempty"`
@@ -389,10 +398,42 @@ type appendResponse struct {
 	Appended int    `json:"appended"`
 }
 
+// decodeAppendBody reads the whole (capped) body, then decodes it with
+// the reflection-free canonical scanner, falling back to encoding/json
+// on anything the scanner does not claim, so every error keeps
+// encoding/json's wording.
+func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request) (appendRequest, bool) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		s.writeBodyError(w, err, "append")
+		return appendRequest{}, false
+	}
+	if req, ok := decodeAppend(body); ok {
+		return req, true
+	}
+	var req appendRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		s.writeBodyError(w, err, "append")
+		return appendRequest{}, false
+	}
+	return req, true
+}
+
+// parseTask maps an append request's task name to a data.Task.
+func parseTask(name string) (data.Task, error) {
+	switch name {
+	case "", "classification":
+		return data.Classification, nil
+	case "regression":
+		return data.Regression, nil
+	}
+	return 0, fmt.Errorf("unknown task %q (want classification or regression)", name)
+}
+
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req appendRequest
-	if !s.decodeJSON(w, r, &req, "append") {
+	req, ok := s.decodeAppendBody(w, r)
+	if !ok {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -400,6 +441,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h, err := data.HandleByName(id)
+	task, taskErr := parseTask(req.Task)
 	switch {
 	case err == nil && h.Frozen():
 		s.writeError(w, http.StatusConflict,
@@ -409,19 +451,26 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound,
 			fmt.Errorf("unknown dataset %q: the first append must set cols (and optionally task) to create the stream", id))
 		return
+	case taskErr != nil:
+		s.writeError(w, http.StatusBadRequest, taskErr)
+		return
 	case err != nil:
-		task := data.Classification
-		switch req.Task {
-		case "", "classification":
-		case "regression":
-			task = data.Regression
-		default:
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown task %q (want classification or regression)", req.Task))
-			return
-		}
 		if h, err = data.EnsureStream(id, req.Cols, task); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	case req.Cols != 0 || req.Task != "":
+		// A later chunk that names a shape must match the stream's; an
+		// omitted field takes the stream's own value.
+		cols := req.Cols
+		if cols == 0 {
+			cols = h.Cols()
+		}
+		if req.Task == "" {
+			task = h.Task()
+		}
+		if _, err := data.EnsureStream(id, cols, task); err != nil {
+			s.writeError(w, http.StatusConflict, err)
 			return
 		}
 	}
