@@ -49,6 +49,8 @@ type Engine struct {
 	// rngSrc backs rng and tracks its stream position, so snapshots can
 	// capture and restore the traversal randomness exactly.
 	rngSrc *SeededSource
+	// order is epochOrder's reusable traversal buffer.
+	order []int
 	// lastLoss caches the objective computed at the last epoch end (or
 	// restore), so Snapshot does not pay a second full-dataset pass per
 	// checkpoint. Invalid until the first epoch or restore.

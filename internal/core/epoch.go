@@ -379,13 +379,25 @@ func (e *Engine) assignWork() {
 // generator, so a FixedOrder engine's RNG position stays wherever
 // restore (or construction) put it — the invariant that lets the
 // cluster coordinator compare sharded runs against a union run bitwise.
+//
+// The order lives in the engine's reusable buffer, valid until the
+// next call; callers copy it into worker queues. The random order makes
+// exactly rand.Perm's draws, so trajectories match the allocating form.
 func (e *Engine) epochOrder(domain int) []int {
-	if !e.plan.FixedOrder {
-		return e.rng.Perm(domain)
+	if cap(e.order) < domain {
+		e.order = make([]int, domain)
 	}
-	ord := make([]int, domain)
+	ord := e.order[:domain]
+	if e.plan.FixedOrder {
+		for i := range ord {
+			ord[i] = i
+		}
+		return ord
+	}
 	for i := range ord {
-		ord[i] = i
+		j := e.rng.Intn(i + 1)
+		ord[i] = ord[j]
+		ord[j] = i
 	}
 	return ord
 }

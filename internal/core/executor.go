@@ -111,12 +111,15 @@ func (s *simExecutor) runEpoch(ctx context.Context) (int, model.Stats, error) {
 // vec.Atomic master; workers train on private working copies and push
 // accumulated deltas every ChunkSize steps with a fused single-pass
 // flush — sparse (dirty coordinates only) when the workload declares
-// per-unit coordinate sets, dense otherwise. For ConcurrencyShared
-// workloads (Gibbs) workers step directly on the shared replica, whose
-// Step is itself race-safe. Locality groups meet through the engine's
-// shared end-of-epoch combine, exactly like the simulator; the
-// simulated-cost machinery does not apply, so epochs are measured in
-// wall-clock time and the PMU-style counters stay zero.
+// per-unit coordinate sets, dense otherwise. When the workload is a
+// UnitToucher, each claimed chunk's data is touched in one pass before
+// the chunk steps, hiding row-fetch latency without changing the
+// steps. For ConcurrencyShared workloads (Gibbs) workers step directly
+// on the shared replica, whose Step is itself race-safe. Locality
+// groups meet through the engine's shared end-of-epoch combine, exactly
+// like the simulator; the simulated-cost machinery does not apply, so
+// epochs are measured in wall-clock time and the PMU-style counters
+// stay zero.
 type parallelExecutor struct {
 	e       *Engine
 	delta   bool          // ConcurrencyDelta vs ConcurrencyShared
@@ -134,6 +137,10 @@ type parallelExecutor struct {
 	coords UnitCoordser
 	dirty  [][]int32
 	seen   [][]byte
+	// touch, when the workload implements it, reads each claimed
+	// chunk's data in one tight pass before the chunk steps, so the
+	// chunk's row-fetch misses overlap instead of serializing.
+	touch UnitToucher
 	// Per-worker random sources for shared-mode steps (many goroutines
 	// sampling on one chain cannot share the chain's generator). srcs
 	// are the counting sources backing rngs, exposed to snapshots so a
@@ -182,7 +189,9 @@ type workerSlot struct {
 	steps int
 	stats model.Stats
 	err   error
-	_     [64]byte
+	// touched keeps the touch pass's loads observable.
+	touched float64
+	_       [64]byte
 }
 
 // newParallelExecutor mirrors the engine's replica layout with atomic
@@ -239,6 +248,7 @@ func newParallelExecutor(e *Engine) *parallelExecutor {
 		p.locals = append(p.locals, e.wl.NewReplica(-1-i, e.plan.Seed))
 		p.bases = append(p.bases, make([]float64, dim))
 	}
+	p.touch, _ = e.wl.(UnitToucher)
 	if uc, ok := e.wl.(UnitCoordser); ok && uc.SparseUnits() {
 		p.coords = uc
 		p.dirty = make([][]int32, n)
@@ -459,6 +469,7 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 	slot := &p.slots[w.id]
 	var st model.Stats
 	steps := 0
+	var touched float64
 	defer func() {
 		if sparse {
 			// A cancelled worker abandons its unflushed chunk: clear the
@@ -471,6 +482,7 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 		}
 		slot.steps = steps
 		slot.stats = st
+		slot.touched = touched
 		if wb != nil {
 			wb.Record(trace.PhaseWorker, t.epoch, tLoop, time.Now(), int64(steps))
 		}
@@ -479,6 +491,12 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 	flushEvery := e.plan.ChunkSize
 	since := 0
 	run := func(items []int) bool {
+		// The touch is its own tight pass over the whole chunk: folded
+		// into the dirty-marking loop below, that loop's unpredictable
+		// branches would cap how many loads are in flight.
+		if p.touch != nil {
+			touched += p.touch.TouchUnits(items)
+		}
 		for _, item := range items {
 			if sparse {
 				for _, j := range p.coords.UnitCoords(item) {

@@ -168,6 +168,37 @@ func (g *glmWorkload) UnitCoords(unit int) []int32 {
 	return idx
 }
 
+// TouchUnits implements UnitToucher for row-wise access: each row's
+// RowPtr pair, the first and last of its ColIdx and Vals entries, and
+// its label. Under a random permutation every row otherwise costs a
+// chain of dependent misses (RowPtr, then the row's data) inside Step;
+// here the rows' loads are independent and overlap. The dataset is read
+// at call time, so a view adopted by Grow is covered. Column access
+// touches nothing.
+func (g *glmWorkload) TouchUnits(units []int) float64 {
+	if g.plan.Access != model.RowWise {
+		return 0
+	}
+	a := g.ds.A
+	rowPtr, colIdx, vals := a.RowPtr, a.ColIdx, a.Vals
+	var idx int64
+	var sum float64
+	for _, u := range units {
+		lo, hi := rowPtr[u], rowPtr[u+1]
+		if lo < hi {
+			idx += int64(colIdx[lo]) + int64(colIdx[hi-1])
+			sum += vals[lo] + vals[hi-1]
+		}
+	}
+	// LP and QP datasets carry no labels.
+	if labels := g.ds.Labels; labels != nil {
+		for _, u := range units {
+			sum += labels[u]
+		}
+	}
+	return sum + float64(idx)
+}
+
 // Sync implements Workload: one-pass aggregates combine once, the
 // iterative estimators average with write-back.
 func (g *glmWorkload) Sync() SyncMode {

@@ -239,6 +239,20 @@ type UnitCoordser interface {
 	UnitCoords(unit int) []int32
 }
 
+// UnitToucher is optionally implemented by ConcurrencyDelta workloads
+// whose steps are bound by the latency of fetching each unit's data
+// rather than by arithmetic. The parallel executor calls it once per
+// claimed chunk, before stepping the chunk, so the chunk's cache misses
+// overlap in one independent-load loop instead of stalling each Step in
+// turn. It must not change any state: the same units then step in the
+// same order with the same arithmetic.
+type UnitToucher interface {
+	// TouchUnits reads each unit's data so that the following Step
+	// calls hit cache, returning a value derived from the loads so the
+	// compiler cannot drop them.
+	TouchUnits(units []int) float64
+}
+
 // EpochOrderer is optionally implemented by workloads that supply each
 // replica's traversal order themselves instead of using the engine's
 // shared permutation. Gibbs chains draw their sweep permutation from
