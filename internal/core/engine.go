@@ -63,6 +63,11 @@ type Engine struct {
 	// merged into rec once per epoch after the barrier.
 	rec     *trace.Recorder
 	recBufs []*trace.WorkerBuf
+	// phaseEnd is the end of the last engine-level span recorded in the
+	// current epoch, handed from each phase to the next so the spans
+	// tile the epoch without untimed gaps. Maintained only while
+	// tracing.
+	phaseEnd time.Time
 
 	// leverage sampling state for Importance data replication.
 	levCum []float64

@@ -77,7 +77,8 @@ func (e *Engine) RunEpochCtx(ctx context.Context) (EpochResult, error) {
 		}
 	}
 	if e.rec != nil {
-		e.rec.Record(trace.PhaseAssign, epoch, -1, t0, time.Now(), 0)
+		e.phaseEnd = time.Now()
+		e.rec.Record(trace.PhaseAssign, epoch, -1, t0, e.phaseEnd, 0)
 	}
 
 	start := time.Now()
@@ -91,9 +92,12 @@ func (e *Engine) RunEpochCtx(ctx context.Context) (EpochResult, error) {
 	}
 	e.cumStats.Add(st)
 
+	// The executor handed its last span's end over in phaseEnd; the
+	// end-epoch phase starts there, so its own span bookkeeping stays
+	// attributed.
 	var tEnd time.Time
 	if e.rec != nil {
-		tEnd = time.Now()
+		tEnd = e.phaseEnd
 	}
 	e.wl.EndEpoch(e.replicas)
 	if e.rec != nil {
@@ -394,11 +398,7 @@ func (e *Engine) epochOrder(domain int) []int {
 		}
 		return ord
 	}
-	for i := range ord {
-		j := e.rng.Intn(i + 1)
-		ord[i] = ord[j]
-		ord[j] = i
-	}
+	FillPerm(e.rng, ord)
 	return ord
 }
 

@@ -53,7 +53,7 @@ func (s *simExecutor) runEpoch(ctx context.Context) (int, model.Stats, error) {
 	// accounting.
 	var tExec time.Time
 	if e.rec != nil {
-		tExec = time.Now()
+		tExec = e.phaseEnd
 	}
 	var st model.Stats
 	steps := 0
@@ -84,7 +84,8 @@ func (s *simExecutor) runEpoch(ctx context.Context) (int, model.Stats, error) {
 		}
 	}
 	if e.rec != nil {
-		e.rec.Record(trace.PhaseExec, e.epoch+1, -1, tExec, time.Now(), int64(steps))
+		e.phaseEnd = time.Now()
+		e.rec.Record(trace.PhaseExec, e.epoch+1, -1, tExec, e.phaseEnd, int64(steps))
 	}
 	return steps, st, nil
 }
@@ -351,19 +352,20 @@ func (p *parallelExecutor) runEpoch(ctx context.Context) (int, model.Stats, erro
 	epoch := e.epoch + 1
 	traced := e.rec != nil
 	var tSeed, tExec, tPool, tWait, tPublish time.Time
+	if traced {
+		// The first phase starts where the engine's assign phase ended.
+		tSeed, tExec = e.phaseEnd, e.phaseEnd
+	}
 	if p.delta {
-		if traced {
-			tSeed = time.Now()
-		}
 		// Seed each master with its replica's current state (the
 		// combined state of the previous epoch, or the workload's
 		// initial state).
 		for i, r := range e.replicas {
 			p.masters[i].CopyFrom(r.X)
 		}
-	}
-	if traced {
-		tExec = time.Now()
+		if traced {
+			tExec = time.Now()
+		}
 	}
 	for i := range p.heads {
 		p.heads[i].n.Store(0)
@@ -403,8 +405,12 @@ func (p *parallelExecutor) runEpoch(ctx context.Context) (int, model.Stats, erro
 		}
 	}
 	if traced && err == nil {
-		tPublish = time.Now()
+		// The engine's next phase starts where this executor's last
+		// span ended: publish in delta mode, exec in shared mode.
+		e.phaseEnd = tWait
 		if p.delta {
+			tPublish = time.Now()
+			e.phaseEnd = tPublish
 			e.rec.Record(trace.PhaseSeed, epoch, -1, tSeed, tExec, 0)
 		}
 		e.rec.Record(trace.PhasePool, epoch, -1, tExec, tPool, 0)

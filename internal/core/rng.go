@@ -83,3 +83,14 @@ func (s *SeededSource) Restore(st RNGState) {
 func (s *SeededSource) String() string {
 	return fmt.Sprintf("SeededSource(seed=%d, draws=%d)", s.seed, s.draws)
 }
+
+// FillPerm fills p with a random permutation of 0..len(p)-1, making
+// exactly rand.Perm's draws: a trajectory that reuses one buffer per
+// epoch matches one that allocates a fresh permutation each time.
+func FillPerm(rng *rand.Rand, p []int) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+}

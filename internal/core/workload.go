@@ -259,7 +259,9 @@ type UnitToucher interface {
 // the chain's own generator, preserving the classic sampler's
 // determinism; when implemented, FullReplication partitions the
 // returned order among the replica's workers (so a PerCore chain
-// sweeps the whole domain) and Sharding uses replica 0's order.
+// sweeps the whole domain) and Sharding uses replica 0's order. The
+// engine copies the order into worker queues before the next call, so
+// an implementation may return the same reused buffer every epoch.
 type EpochOrderer interface {
 	EpochOrder(repIdx int) []int
 }

@@ -20,11 +20,17 @@ func TestNewGraphValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.VarFactors(1)) != 2 || len(g.VarFactors(0)) != 1 {
-		t.Errorf("variable index wrong: %v / %v", g.VarFactors(1), g.VarFactors(0))
+	if g.Degree(1) != 2 || g.Degree(0) != 1 {
+		t.Errorf("variable index wrong: degrees %d / %d", g.Degree(1), g.Degree(0))
 	}
 	if g.NNZ() != 4 {
 		t.Errorf("NNZ = %d, want 4", g.NNZ())
+	}
+	// A repeated member is one incidence per occurrence; untouched
+	// variables, the last one included, have none.
+	e := edgeGraph(t)
+	if e.Degree(3) != 3 || e.Degree(10) != 0 || e.Degree(11) != 0 {
+		t.Errorf("edge graph degrees %d/%d/%d, want 3/0/0", e.Degree(3), e.Degree(10), e.Degree(11))
 	}
 }
 
@@ -43,23 +49,33 @@ func TestConditionalLogOdds(t *testing.T) {
 	}
 }
 
-// The atomic-assignment evaluation must agree with the classic probe-
-// and-restore one on every kind and assignment.
+// The sampler kernel — atomic loads off the flat index — must agree
+// bit for bit with the classic probe-and-restore evaluation, for every
+// variable (zero-degree ones included): exhaustively over every
+// assignment of edgeGraph, and over 8-bit assignment patterns of a
+// generated graph.
 func TestAtomicLogOddsMatchesClassic(t *testing.T) {
-	g := Generate(GenerateConfig{Vars: 16, Factors: 40, MaxArity: 3, WeightStd: 1, Seed: 5})
-	for mask := 0; mask < 1<<8; mask++ {
+	for _, c := range []struct {
+		g    *Graph
+		bits int
+	}{
+		{edgeGraph(t), 12},
+		{Generate(GenerateConfig{Vars: 16, Factors: 40, MaxArity: 3, WeightStd: 1, Seed: 5}), 8},
+	} {
+		g := c.g
 		classic := make([]int8, g.NumVars)
 		at := make([]int32, g.NumVars)
-		for v := range classic {
-			bit := int8((mask >> (uint(v) % 8)) & 1)
-			classic[v] = bit
-			at[v] = int32(bit)
-		}
-		for v := 0; v < g.NumVars; v++ {
-			want := g.ConditionalLogOdds(v, classic)
-			got := g.conditionalLogOddsAtomic(v, at)
-			if math.Abs(want-got) > 1e-12 {
-				t.Fatalf("var %d mask %d: atomic %v, classic %v", v, mask, got, want)
+		for mask := 0; mask < 1<<c.bits; mask++ {
+			for v := range classic {
+				bit := (mask >> (v % c.bits)) & 1
+				classic[v] = int8(bit)
+				at[v] = int32(bit)
+			}
+			for v := 0; v < g.NumVars; v++ {
+				want := g.ConditionalLogOdds(v, classic)
+				if got := g.logOdds(v, at); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d vars, var %d, mask %#x: kernel %v, classic %v", g.NumVars, v, mask, got, want)
+				}
 			}
 		}
 	}
@@ -85,7 +101,7 @@ func TestGenerateShape(t *testing.T) {
 	// Degree skew: most-connected variable far above mean.
 	maxDeg, total := 0, 0
 	for v := 0; v < g.NumVars; v++ {
-		d := len(g.VarFactors(v))
+		d := g.Degree(v)
 		total += d
 		if d > maxDeg {
 			maxDeg = d

@@ -39,13 +39,15 @@ type Workload struct {
 // under the parallel executor), its marginal tallies, and the chain's
 // private generator for sweep permutations and flips. src is the
 // counting source backing rng, so a snapshot can capture the chain's
-// exact stream position for bit-identical resume.
+// exact stream position for bit-identical resume. order is EpochOrder's
+// reusable sweep-permutation buffer.
 type chain struct {
 	assign  []int32
 	ones    []int64
 	tallies int64
 	rng     *rand.Rand
 	src     *core.SeededSource
+	order   []int
 }
 
 // NewWorkload wraps a factor graph as an engine workload.
@@ -169,9 +171,15 @@ func (w *Workload) NewReplica(repIdx int, seed int64) *core.WorkState {
 
 // EpochOrder implements core.EpochOrderer: each chain draws its sweep
 // permutation from its own generator, exactly like the classic
-// sampler.
+// sampler. The permutation fills the chain's reusable buffer, valid
+// until the next call.
 func (w *Workload) EpochOrder(repIdx int) []int {
-	return w.chains[repIdx].rng.Perm(w.g.NumVars)
+	c := w.chains[repIdx]
+	if c.order == nil {
+		c.order = make([]int, w.g.NumVars)
+	}
+	core.FillPerm(c.rng, c.order)
+	return c.order
 }
 
 // Step implements core.Workload: resample variable unit of the
@@ -181,16 +189,13 @@ func (w *Workload) EpochOrder(repIdx int) []int {
 // cannot share the chain's generator.
 func (w *Workload) Step(unit int, ws *core.WorkState, _ float64, rng *rand.Rand, cost *core.StepCost) model.Stats {
 	c := ws.Priv.(*chain)
-	var reads int64
-	for _, fi := range w.g.VarFactors(unit) {
-		reads += int64(len(w.g.Factors[fi].Vars))
-	}
+	reads := w.g.reads(unit)
 	if cost != nil {
 		cost.Core.ReadStream(cost.DataReg, reads)  // factor structure
 		cost.Core.ReadCached(cost.ModelReg, reads) // member assignments
 		cost.Core.Compute(float64(reads)*2 + 8)    // energy accumulation
 	}
-	logOdds := w.g.conditionalLogOddsAtomic(unit, c.assign)
+	logOdds := w.g.logOdds(unit, c.assign)
 	p1 := 1 / (1 + math.Exp(-logOdds))
 	src := rng
 	if src == nil {

@@ -16,7 +16,7 @@ package factor
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
+	"slices"
 )
 
 // Kind selects a factor's potential function. The set mirrors the
@@ -127,128 +127,53 @@ type Graph struct {
 	Name string
 	// NumVars is the variable count.
 	NumVars int
-	// Factors is the factor list.
+	// Factors is the factor list. It must not be modified after
+	// NewGraph: the sampler index is built from it once.
 	Factors []Factor
 
-	// varFactors[v] lists the indices of factors containing v — the
-	// "column" of the column-to-row access.
-	varFactors [][]int32
+	// vinc, voth, inc and oth are the sampler index (sampler.go): the
+	// "column" of the column-to-row access, flattened.
+	vinc, voth []int32
+	inc        []incidence
+	oth        []int32
 }
 
-// NewGraph builds a graph and its variable→factor index.
+// NewGraph validates the factors and builds the graph's sampler index.
 func NewGraph(numVars int, factors []Factor) (*Graph, error) {
 	g := &Graph{NumVars: numVars, Factors: factors}
-	g.varFactors = make([][]int32, numVars)
-	for fi, f := range factors {
-		if len(f.Vars) == 0 {
-			return nil, fmt.Errorf("factor: factor %d has no variables", fi)
-		}
-		for _, v := range f.Vars {
-			if v < 0 || int(v) >= numVars {
-				return nil, fmt.Errorf("factor: factor %d references variable %d of %d", fi, v, numVars)
-			}
-			g.varFactors[v] = append(g.varFactors[v], int32(fi))
-		}
+	if err := g.buildIndex(); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
 
-// VarFactors returns the indices of the factors containing v. The
-// returned slice must not be modified.
-func (g *Graph) VarFactors(v int) []int32 { return g.varFactors[v] }
-
 // NNZ returns the number of (variable, factor) incidences — the
 // nonzero count of the bipartite incidence matrix (Figure 23b).
-func (g *Graph) NNZ() int64 {
-	var n int64
-	for _, f := range g.Factors {
-		n += int64(len(f.Vars))
-	}
-	return n
-}
-
-// firesWith reports whether the factor's condition holds under assign
-// with variable v overridden to val. Assignments are read with atomic
-// loads, so concurrent single-variable stores by other samplers
-// (Hogwild!-Gibbs) are race-free; the override means evaluation never
-// probes-and-restores the shared state.
-func (f *Factor) firesWith(assign []int32, v int, val int32) bool {
-	at := func(u int32) int32 {
-		if int(u) == v {
-			return val
-		}
-		return atomic.LoadInt32(&assign[u])
-	}
-	switch f.Kind {
-	case Equal:
-		first := at(f.Vars[0])
-		for _, u := range f.Vars[1:] {
-			if at(u) != first {
-				return false
-			}
-		}
-		return true
-	case And:
-		for _, u := range f.Vars {
-			if at(u) == 0 {
-				return false
-			}
-		}
-		return true
-	case Or:
-		for _, u := range f.Vars {
-			if at(u) == 1 {
-				return true
-			}
-		}
-		return false
-	case Imply:
-		n := len(f.Vars)
-		for _, u := range f.Vars[:n-1] {
-			if at(u) == 0 {
-				return true // antecedent false: implication holds
-			}
-		}
-		return at(f.Vars[n-1]) == 1
-	default:
-		return false
-	}
-}
-
-// conditionalLogOddsAtomic is ConditionalLogOdds over an atomic
-// assignment: safe for concurrent samplers because the probed variable
-// is overridden instead of mutated and every other read is atomic.
-func (g *Graph) conditionalLogOddsAtomic(v int, assign []int32) float64 {
-	var e1, e0 float64
-	for _, fi := range g.varFactors[v] {
-		f := &g.Factors[fi]
-		if f.firesWith(assign, v, 1) {
-			e1 += f.Weight
-		}
-		if f.firesWith(assign, v, 0) {
-			e0 += f.Weight
-		}
-	}
-	return e1 - e0
-}
+func (g *Graph) NNZ() int64 { return int64(len(g.inc)) }
 
 // ConditionalLogOdds returns log P(x_v = 1 | rest) − log P(x_v = 0 |
 // rest) under the assignment, evaluating each incident factor's
-// potential at both values of v. The assignment is restored before
-// returning.
+// potential at both values of v — once per occurrence of v, in factor
+// order. The assignment is restored before returning. It scans every
+// factor: it is the reference definition the sampler's kernel is
+// checked against, not a hot path.
 func (g *Graph) ConditionalLogOdds(v int, assign []int8) float64 {
 	old := assign[v]
 	var e1, e0 float64
-	assign[v] = 1
-	for _, fi := range g.varFactors[v] {
-		if f := &g.Factors[fi]; f.fires(assign) {
-			e1 += f.Weight
-		}
-	}
-	assign[v] = 0
-	for _, fi := range g.varFactors[v] {
-		if f := &g.Factors[fi]; f.fires(assign) {
-			e0 += f.Weight
+	for i := range g.Factors {
+		f := &g.Factors[i]
+		for _, u := range f.Vars {
+			if int(u) != v {
+				continue
+			}
+			assign[v] = 1
+			if f.fires(assign) {
+				e1 += f.Weight
+			}
+			assign[v] = 0
+			if f.fires(assign) {
+				e0 += f.Weight
+			}
 		}
 	}
 	assign[v] = old
@@ -279,19 +204,20 @@ func Generate(cfg GenerateConfig) *Graph {
 		cfg.MaxArity = 2
 	}
 	zipf := rand.NewZipf(rng, 1.3, 8, uint64(cfg.Vars-1))
-	factors := make([]Factor, 0, cfg.Factors)
-	for i := 0; i < cfg.Factors; i++ {
+	// Every factor's members are carved from one slab, capped so an
+	// append to one factor's Vars reallocates instead of overwriting
+	// the next factor's members.
+	factors := make([]Factor, cfg.Factors)
+	slab := make([]int32, 0, cfg.Factors*cfg.MaxArity)
+	for i := range factors {
 		arity := 2 + rng.Intn(cfg.MaxArity-1)
-		seen := map[int32]bool{}
-		vars := make([]int32, 0, arity)
-		for len(vars) < arity {
-			v := int32(zipf.Uint64())
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
+		start := len(slab)
+		for len(slab)-start < arity {
+			if v := int32(zipf.Uint64()); !slices.Contains(slab[start:], v) {
+				slab = append(slab, v)
 			}
 		}
-		factors = append(factors, Factor{Vars: vars, Weight: cfg.WeightStd * rng.NormFloat64()})
+		factors[i] = Factor{Vars: slab[start:len(slab):len(slab)], Weight: cfg.WeightStd * rng.NormFloat64()}
 	}
 	g, err := NewGraph(cfg.Vars, factors)
 	if err != nil {
