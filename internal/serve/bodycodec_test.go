@@ -1,0 +1,597 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dimmwitted/internal/core"
+	"dimmwitted/internal/data"
+	"dimmwitted/internal/model"
+)
+
+// canonicalAppendBodies are append bodies in the shapes real clients
+// send: struct-marshalled chunks with cols and task (the cluster
+// client), map-marshalled chunks with sorted keys (dwload -append),
+// dense rows, empty arrays and indented JSON.
+func canonicalAppendBodies(t testing.TB) [][]byte {
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sparse := []appendRowJSON{
+		{Indices: []int32{0, 3}, Values: []float64{1.5, -2.25e-7}, Label: 1},
+		{Indices: []int32{1}, Values: []float64{0.1}, Label: -1},
+		{Label: 1}, // a row with no nonzeros omits both arrays
+	}
+	indented, err := json.MarshalIndent(appendRequest{Rows: sparse, Cols: 5}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{
+		marshal(appendRequest{Rows: sparse, Cols: 5, Task: "classification"}),
+		marshal(map[string]any{"rows": sparse, "cols": 5}),
+		marshal(appendRequest{Rows: sparse[:1]}),
+		marshal(appendRequest{Rows: []appendRowJSON{{Dense: []float64{0, 1, -0.5, 3e300}, Label: 2.5}}, Cols: 4, Task: "regression"}),
+		indented,
+		[]byte(`{"rows":[{"indices":[],"values":[],"label":-0}],"cols":1}`),
+		[]byte(`{"rows":[{"dense":[],"label":1E+2}]}`),
+		[]byte(`{"rows":[]}`),
+		[]byte(`{}`),
+		[]byte(" {\"cols\" : 7 ,\"rows\":[ {\"label\":1 ,\"values\":[ 1 ],\"indices\":[ 6 ]} ] }\r\n"),
+	}
+}
+
+// fallbackAppendBodies are inputs the scanner must leave to
+// encoding/json: every non-canonical form the handler still accepts or
+// rejects exactly as before.
+var fallbackAppendBodies = []string{
+	`null`,
+	`{"rows":null}`,
+	`{"rows":[null]}`,
+	`{"rows":[{"label":null}]}`,
+	`{"rows":[{"indices":null,"values":[1]}]}`,
+	`{"rows":[],"rows":[]}`,
+	`{"rows":[{"label":1,"label":2}]}`,
+	`{"Rows":[{"label":1}]}`,
+	`{"rows":[{"Label":1}]}`,
+	`{"rows":[{"label":1}],"extra":true}`,
+	`{"rows":[{"label":1,"weight":2}]}`,
+	`{"rows":[{"label":1}],"task":"regr\u0065ssion"}`,
+	`{"\u0072ows":[{"label":1}]}`,
+	`{"rows":[{"label":1}],"task":"régression"}`,
+	`{"rows":[{"label":1}]} trailing`,
+	`{"rows":[{"label":1}]}{}`,
+	`{"rows":[{"indices":[2147483648],"values":[1]}]}`,
+	`{"rows":[{"indices":[-2147483649],"values":[1]}]}`,
+	`{"rows":[{"indices":[1.5],"values":[1]}]}`,
+	`{"rows":[{"indices":[1e2],"values":[1]}]}`,
+	`{"rows":[{"indices":[01],"values":[1]}]}`,
+	`{"rows":[{"label":1e400}]}`,
+	`{"rows":[{"label":.5}]}`,
+	`{"rows":[{"label":+1}]}`,
+	`{"rows":[{"label":"1"}]}`,
+	`{"rows":[{"label":1}],"cols":9223372036854775808}`,
+	`{"rows":[{"label":1}],"cols":5.0}`,
+	`{"rows":[{"label":1}],"task":5}`,
+	`{"rows":[{"label":1},]}`,
+	`{"rows":[{"label":1}],}`,
+	`{"rows":[{"label":1}]`,
+	`[]`,
+	``,
+	"\ufeff{\"rows\":[]}",
+}
+
+func TestAppendDecodeCanonicalMatchesEncodingJSON(t *testing.T) {
+	for _, body := range canonicalAppendBodies(t) {
+		got, ok := decodeAppend(body)
+		if !ok {
+			t.Errorf("scanner refused a canonical body: %s", body)
+			continue
+		}
+		var want appendRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("encoding/json rejects %s: %v", body, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("body %s:\nscanner %#v\nencoding/json %#v", body, got, want)
+		}
+	}
+}
+
+func TestAppendDecodeFallsBack(t *testing.T) {
+	for _, body := range fallbackAppendBodies {
+		if req, ok := decodeAppend([]byte(body)); ok {
+			t.Errorf("scanner claimed non-canonical body %q as %#v", body, req)
+		}
+	}
+}
+
+// FuzzAppendDecode is the differential check on the append fast path:
+// whatever the scanner accepts, encoding/json must also decode without
+// error into a deeply equal value, nil-versus-empty slices included.
+func FuzzAppendDecode(f *testing.F) {
+	for _, body := range canonicalAppendBodies(f) {
+		f.Add(body)
+	}
+	for _, body := range fallbackAppendBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, ok := decodeAppend(body)
+		if !ok {
+			return
+		}
+		var want appendRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("scanner accepted %q but encoding/json rejects it: %v", body, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q:\nscanner %#v\nencoding/json %#v", body, got, want)
+		}
+	})
+}
+
+// TestHTTPAppendFallbackKeepsEncodingJSON checks the handler end to
+// end on bodies the scanner refuses: encoding/json still decides, with
+// its own error wording.
+func TestHTTPAppendFallbackKeepsEncodingJSON(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	url := ts.URL + "/v1/datasets/fallback-stream/append"
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	// Unknown keys and escaped keys are fine for encoding/json.
+	if code, msg := post(`{"rows":[{"indices":[0],"values":[1],"label":1}],"cols":5,"extra":true}`); code != http.StatusOK {
+		t.Fatalf("unknown key = %d %s, want 200", code, msg)
+	}
+	if code, msg := post(`{"\u0072ows":[{"indices":[4],"values":[1],"label":-1}]}`); code != http.StatusOK {
+		t.Fatalf("escaped key = %d %s, want 200", code, msg)
+	}
+	for _, tc := range []struct{ body, want string }{
+		{`{"rows":[`, "bad append request: unexpected EOF"},
+		{`{"rows":[{"indices":[1.5],"values":[1]}]}`, "bad append request: json: cannot unmarshal number 1.5 into Go struct field"},
+		{`{"rows":[{"label":"1"}]}`, "bad append request: json: cannot unmarshal string into Go struct field"},
+	} {
+		code, msg := post(tc.body)
+		if code != http.StatusBadRequest || !strings.HasPrefix(msg, tc.want) {
+			t.Errorf("body %s = %d %q, want 400 %q...", tc.body, code, msg, tc.want)
+		}
+	}
+}
+
+// TestHTTPAppendShapeCheck: a chunk appended to an existing stream that
+// names cols or task must match the stream's shape, even when its
+// indices would fit a wrong cols.
+func TestHTTPAppendShapeCheck(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	client := ts.Client()
+	const stream = "shape-stream"
+	url := ts.URL + "/v1/datasets/" + stream + "/append"
+	rows := []appendRowJSON{{Indices: []int32{0, 4}, Values: []float64{1, -1}, Label: 1}}
+	if code := doJSON(t, client, http.MethodPost, url, appendRequest{Rows: rows, Cols: 5}, nil); code != http.StatusOK {
+		t.Fatalf("creating append = %d, want 200", code)
+	}
+	for _, tc := range []struct {
+		name string
+		req  appendRequest
+		want int
+	}{
+		{"match", appendRequest{Rows: rows, Cols: 5, Task: "classification"}, http.StatusOK},
+		{"match cols only", appendRequest{Rows: rows, Cols: 5}, http.StatusOK},
+		{"omitted", appendRequest{Rows: rows}, http.StatusOK},
+		{"wrong cols", appendRequest{Rows: rows, Cols: 6}, http.StatusConflict},
+		{"wrong task", appendRequest{Rows: rows, Task: "regression"}, http.StatusConflict},
+		{"unknown task", appendRequest{Rows: rows, Task: "ranking"}, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := data.HandleByName(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := h.Version()
+			if code := doJSON(t, client, http.MethodPost, url, tc.req, nil); code != tc.want {
+				t.Fatalf("append = %d, want %d", code, tc.want)
+			}
+			grew := h.Version() > before
+			if grew != (tc.want == http.StatusOK) {
+				t.Fatalf("version %d -> %d after a %d", before, h.Version(), tc.want)
+			}
+		})
+	}
+}
+
+// canonicalPredictBodies are predict bodies in the shapes real clients
+// send: struct-marshalled requests with omitempty example fields,
+// map-marshalled ones with sorted keys, a client struct that always
+// writes both sparse arrays, dense examples, indented JSON, the int32
+// index bounds, and "[]" beside absent keys.
+func canonicalPredictBodies(t testing.TB) [][]byte {
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sparse := []exampleJSON{
+		{Indices: []int32{0, 3}, Values: []float64{1.5, -2.25e-7}},
+		{Indices: []int32{1}, Values: []float64{0.1}},
+		{}, // an example with no nonzeros omits both arrays
+	}
+	type clientExample struct {
+		Indices []int32   `json:"indices"`
+		Values  []float64 `json:"values"`
+	}
+	indented, err := json.MarshalIndent(predictRequest{Model: "job-2", Examples: sparse}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{
+		marshal(predictRequest{Model: "job-1", Examples: sparse}),
+		marshal(map[string]any{"model": "job-1", "examples": sparse}),
+		marshal(struct {
+			Model    string          `json:"model"`
+			Examples []clientExample `json:"examples"`
+		}{"job-7", []clientExample{{[]int32{2, 9, 3999}, []float64{1, 0.5, -3e300}}, {[]int32{}, []float64{}}}}),
+		marshal(predictRequest{Model: "m", Examples: []exampleJSON{{Dense: []float64{0, 1, -0.5, 3e300}}}}),
+		indented,
+		[]byte(`{"model":"m","examples":[{"indices":[2147483647,-2147483648,0,-0],"values":[1,2,3,4]}]}`),
+		[]byte(`{"model":"m","examples":[{"indices":[],"values":[]},{"dense":[]},{"values":[1E+2]}]}`),
+		[]byte(`{"model":"m","examples":[{"indices":[1],"values":[1],"dense":[1]}]}`),
+		[]byte(`{"model":"","examples":[]}`),
+		[]byte(`{"model":"a<b&c>d~"}`),
+		[]byte(`{}`),
+		[]byte(" {\"examples\" : [ {\"values\":[ 1 ],\"indices\":[ 6 ]} ] ,\"model\":\"job-3\" }\r\n"),
+	}
+}
+
+// fallbackPredictBodies are inputs the scanner must leave to
+// encoding/json: every non-canonical form the handler still accepts or
+// rejects exactly as before.
+var fallbackPredictBodies = []string{
+	`null`,
+	`{"examples":null}`,
+	`{"examples":[null]}`,
+	`{"model":null}`,
+	`{"examples":[{"indices":null,"values":[1]}]}`,
+	`{"model":"a","model":"b"}`,
+	`{"examples":[{"indices":[1],"indices":[2]}]}`,
+	`{"Model":"a"}`,
+	`{"examples":[{"Values":[1]}]}`,
+	`{"model":"a","examples":[],"extra":1}`,
+	`{"examples":[{"values":[1],"label":1}]}`,
+	`{"model":"j\u006fb-1"}`,
+	`{"\u006dodel":"a"}`,
+	`{"model":"jób"}`,
+	"{\"model\":\"a\tb\"}",
+	`{"model":"a"} trailing`,
+	`{"model":"a"}{}`,
+	`{"examples":[{"indices":[2147483648],"values":[1]}]}`,
+	`{"examples":[{"indices":[-2147483649],"values":[1]}]}`,
+	`{"examples":[{"indices":[99999999999999999999],"values":[1]}]}`,
+	`{"examples":[{"indices":[01],"values":[1]}]}`,
+	`{"examples":[{"indices":[-01],"values":[1]}]}`,
+	`{"examples":[{"indices":[1e2],"values":[1]}]}`,
+	`{"examples":[{"indices":[1.5],"values":[1]}]}`,
+	`{"examples":[{"indices":[1.0],"values":[1]}]}`,
+	`{"examples":[{"indices":[-],"values":[1]}]}`,
+	`{"examples":[{"values":[1e400]}]}`,
+	`{"examples":[{"values":[.5]}]}`,
+	`{"examples":[{"values":[+1]}]}`,
+	`{"examples":[{"values":["1"]}]}`,
+	`{"model":5}`,
+	`{"examples":{}}`,
+	`{"examples":[{"values":[1],}]}`,
+	`{"examples":[{"values":[1]},]}`,
+	`{"model":"a",}`,
+	`{"examples":[`,
+	`[]`,
+	``,
+	"\ufeff{\"model\":\"a\"}",
+}
+
+func TestPredictDecodeCanonicalMatchesEncodingJSON(t *testing.T) {
+	for _, body := range canonicalPredictBodies(t) {
+		got, ok := decodePredict(body)
+		if !ok {
+			t.Errorf("scanner refused a canonical body: %s", body)
+			continue
+		}
+		var want predictRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("encoding/json rejects %s: %v", body, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("body %s:\nscanner %#v\nencoding/json %#v", body, got, want)
+		}
+	}
+}
+
+func TestPredictDecodeFallsBack(t *testing.T) {
+	for _, body := range fallbackPredictBodies {
+		if req, ok := decodePredict([]byte(body)); ok {
+			t.Errorf("scanner claimed non-canonical body %q as %#v", body, req)
+		}
+	}
+}
+
+// FuzzPredictDecode is the differential check on the predict fast
+// path: whatever the scanner accepts, encoding/json must also decode
+// without error into a deeply equal value, nil-versus-empty slices
+// included.
+func FuzzPredictDecode(f *testing.F) {
+	for _, body := range canonicalPredictBodies(f) {
+		f.Add(body)
+	}
+	for _, body := range fallbackPredictBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, ok := decodePredict(body)
+		if !ok {
+			return
+		}
+		var want predictRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("scanner accepted %q but encoding/json rejects it: %v", body, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q:\nscanner %#v\nencoding/json %#v", body, got, want)
+		}
+	})
+}
+
+// TestPredictDecodeArenaGrowth decodes a body with far more numbers
+// than the first arena holds, so arrays move to fresh arenas mid-array
+// and between arrays; every array must still equal encoding/json's and
+// be capacity-capped, so that appending to one cannot overwrite the
+// next.
+func TestPredictDecodeArenaGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	req := predictRequest{Model: "m"}
+	for i := 0; i < 300; i++ {
+		n := rng.Intn(60)
+		ex := exampleJSON{Indices: make([]int32, n), Values: make([]float64, n)}
+		for j := range ex.Indices {
+			ex.Indices[j], ex.Values[j] = rng.Int31(), rng.NormFloat64()
+		}
+		if i%7 == 0 {
+			ex = exampleJSON{Dense: ex.Values}
+		}
+		req.Examples = append(req.Examples, ex)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := decodePredict(body)
+	var want predictRequest
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanner (ok %v) and encoding/json disagree on a %d-byte body", ok, len(body))
+	}
+	for i, ex := range got.Examples {
+		if cap(ex.Indices) != len(ex.Indices) || cap(ex.Values) != len(ex.Values) || cap(ex.Dense) != len(ex.Dense) {
+			t.Fatalf("example %d: arrays are not capacity-capped", i)
+		}
+	}
+}
+
+// TestDecodeGarbageAllocatesLittle: a large body that is malformed
+// before its first number costs the scanner at most the request's own
+// examples or rows slice, never an arena, however many separators it
+// holds.
+func TestDecodeGarbageAllocatesLittle(t *testing.T) {
+	commas := bytes.Repeat([]byte{','}, 1<<20)
+	for _, tc := range []struct {
+		body []byte
+		max  float64
+	}{
+		{commas, 0},
+		{append([]byte("[[["), bytes.Repeat([]byte("[,"), 1<<19)...), 0},
+		{append([]byte(`{"model":"m","examples":[{"indices":[`), commas...), 1},
+		{append([]byte(`{"rows":[{"values":[`), commas...), 1},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, ok := decodePredict(tc.body); ok {
+				t.Fatal("scanner claimed garbage")
+			}
+			if _, ok := decodeAppend(tc.body); ok {
+				t.Fatal("scanner claimed garbage")
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%.40q...: %v allocations, want at most %v", tc.body, allocs, tc.max)
+		}
+	}
+}
+
+// TestReadBodyCapsDeclaredLength: the body buffer is presized from
+// Content-Length only up to maxPooledBuf, and the bytes read are the
+// body whatever the declared length.
+func TestReadBodyCapsDeclaredLength(t *testing.T) {
+	var buf bytes.Buffer
+	if err := readBody(&buf, strings.NewReader(""), 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	if c := buf.Cap(); c > 2*maxPooledBuf {
+		t.Fatalf("a 64 MiB declared length presized %d bytes, want at most about %d", c, maxPooledBuf)
+	}
+	body := strings.Repeat("0123456789", 1000)
+	for _, declared := range []int64{-1, 0, 10, int64(len(body)), 64 << 20} {
+		buf.Reset()
+		if err := readBody(&buf, strings.NewReader(body), declared); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != body {
+			t.Fatalf("declared %d: read %d bytes, want the %d-byte body", declared, buf.Len(), len(body))
+		}
+	}
+}
+
+// TestHTTPPredictCodec drives /v1/predict end to end: canonical bodies
+// get the reply json.Encoder would write, byte for byte, and bodies the
+// scanner refuses keep encoding/json's status and error text.
+func TestHTTPPredictCodec(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	spec, _ := model.ByName("ls")
+	x := []float64{0.5, -1.25, 3e-7, 2}
+	if err := srv.Scheduler().Models().Put("m", spec, core.Snapshot{Workload: core.WorkloadGLM, Spec: "ls", X: x}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	for _, body := range []string{
+		`{"model":"m","examples":[{"indices":[0,3],"values":[1,0.5]},{"dense":[1,1,1,1]},{"indices":[2],"values":[1]}]}`,
+		`{"examples":[{"values":[],"indices":[]}],"model":"m"}`,
+		// Not canonical, still served by encoding/json.
+		`{"model":"m","examples":[{"indices":[1],"values":[2]}],"extra":true}`,
+		`{"model":"m","examples":[{"indices":[1],"values":[2]}]} trailing`,
+	} {
+		code, raw := post(body)
+		var req predictRequest
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+			t.Fatal(err)
+		}
+		examples := make([]model.Example, len(req.Examples))
+		for i, ex := range req.Examples {
+			examples[i] = model.Example{Idx: ex.Indices, Vals: ex.Values}
+			if ex.Dense != nil {
+				examples[i] = model.DenseExample(ex.Dense)
+			}
+		}
+		preds, err := model.PredictBatch(spec, x, examples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(predictResponse{Model: "m", Predictions: preds, Count: len(preds)})
+		if code != http.StatusOK || !bytes.Equal(raw, want.Bytes()) {
+			t.Errorf("body %s = %d %q, want 200 %q", body, code, raw, want.Bytes())
+		}
+	}
+	for _, tc := range []struct {
+		body string
+		code int
+		want string
+	}{
+		{`{"model":"m","examples":[`, http.StatusBadRequest, "bad predict request: unexpected EOF"},
+		{`{"model":"m","examples":[{"indices":[1.5],"values":[1]}]}`, http.StatusBadRequest,
+			"bad predict request: json: cannot unmarshal number 1.5 into Go struct field"},
+		{`{"model":"m","examples":[{"indices":[2147483648],"values":[1]}]}`, http.StatusBadRequest,
+			"bad predict request: json: cannot unmarshal number 2147483648 into Go struct field"},
+		{`{"model":"m","examples":null}`, http.StatusBadRequest, "predict request has no examples"},
+		{`{"model":"m","examples":[]}`, http.StatusBadRequest, "predict request has no examples"},
+		{`{"model":"m","examples":[{"indices":[1],"values":[1],"dense":[1]}]}`, http.StatusBadRequest,
+			"example 0 mixes dense and sparse encodings"},
+		{`{"model":"nope","examples":[{"dense":[1]}]}`, http.StatusNotFound, `serve: unknown model`},
+	} {
+		code, raw := post(tc.body)
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.Unmarshal(raw, &e)
+		if code != tc.code || !strings.HasPrefix(e.Error, tc.want) {
+			t.Errorf("body %s = %d %q, want %d %q...", tc.body, code, e.Error, tc.code, tc.want)
+		}
+	}
+}
+
+// TestHTTPPredictNonFiniteIs500: a model with a NaN weight scores NaN,
+// which encoding/json cannot write. The reply is 500 with a JSON error,
+// counted as an HTTP error, never 200 over an empty body, whether or
+// not the model id needs escaping.
+func TestHTTPPredictNonFiniteIs500(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	spec, _ := model.ByName("ls")
+	for _, id := range []string{"nan-model", "nan<model"} {
+		snap := core.Snapshot{Workload: core.WorkloadGLM, Spec: "ls", X: []float64{math.NaN(), 1}}
+		if err := srv.Scheduler().Models().Put(id, spec, snap); err != nil {
+			t.Fatal(err)
+		}
+		before := srv.counters.Snapshot()
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+			strings.NewReader(`{"model":"`+id+`","examples":[{"indices":[0],"values":[1]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(e.Error, "NaN") {
+			t.Errorf("model %q: status %d, error %q (decode err %v), want 500 naming the NaN", id, resp.StatusCode, e.Error, err)
+		}
+		after := srv.counters.Snapshot()
+		if after.HTTPErrors != before.HTTPErrors+1 || after.PredictRequests != before.PredictRequests {
+			t.Errorf("model %q: http_errors %d -> %d, predict_requests %d -> %d; want one error, no served predict",
+				id, before.HTTPErrors, after.HTTPErrors, before.PredictRequests, after.PredictRequests)
+		}
+	}
+}
+
+// TestHTTPPredictReadsWholeBody: predict reads the whole capped body
+// before it decodes any of it, as append does. A body past the cap
+// answers 413 even when its first JSON value is valid (under the cap,
+// encoding/json's fallback serves it and ignores the rest) or malformed
+// within the cap.
+func TestHTTPPredictReadsWholeBody(t *testing.T) {
+	srv, ts := newTestServer(t, Options{MaxBodyBytes: 512})
+	spec, _ := model.ByName("ls")
+	if err := srv.Scheduler().Models().Put("m", spec, core.Snapshot{Workload: core.WorkloadGLM, Spec: "ls", X: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	valid := `{"model":"m","examples":[{"indices":[1],"values":[2]}]}`
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{valid + " trailing", http.StatusOK},
+		{valid + strings.Repeat(" ", 1024), http.StatusRequestEntityTooLarge},
+		{`{"model":` + strings.Repeat("x", 1024), http.StatusRequestEntityTooLarge},
+		{`{"model":` + strings.Repeat("x", 100), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%d-byte body %.20q...: status %d, want %d", len(tc.body), tc.body, resp.StatusCode, tc.code)
+		}
+	}
+}

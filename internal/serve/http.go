@@ -1,13 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"dimmwitted/internal/data"
@@ -35,6 +34,9 @@ type Server struct {
 	// The map is built at construction and read-only afterwards, so
 	// concurrent lookups need no lock.
 	latency map[string]*metrics.Histogram
+	// stages splits POST /v1/predict into its decode, score and encode
+	// stages (see handlePredict).
+	stages [numPredictStages]metrics.Histogram
 	// maxBody caps every request body (Options.MaxBodyBytes, already
 	// normalized); <= 0 disables the cap.
 	maxBody int64
@@ -133,11 +135,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// writeJSON writes v as a JSON response.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON writes v as a JSON response and reports whether v itself
+// went out. v is encoded into a pooled buffer before the status line is
+// sent, so a value encoding/json refuses (a NaN or ±Inf float) answers
+// 500 with the counted error envelope instead of code over an empty
+// body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) bool {
+	buf := getBuf()
+	defer putBuf(buf)
+	err := json.NewEncoder(buf).Encode(v)
+	if err != nil {
+		s.counters.HTTPError()
+		code = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
+	return err == nil
 }
 
 // writeError writes a JSON error envelope and counts it.
@@ -315,35 +333,37 @@ type predictResponse struct {
 	Count       int       `json:"count"`
 }
 
+// Predict stages, in request order: reading and decoding the body
+// (through building the model examples), scoring (the coalescer's
+// queue wait included when batching is on), and encoding and writing
+// the reply. Each is timed into its own histogram on every request
+// that reaches it.
+const (
+	stageDecode = iota
+	stageScore
+	stageEncode
+	numPredictStages
+)
+
+var predictStageNames = [numPredictStages]string{"decode", "score", "encode"}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if !s.decodeJSON(w, r, &req, "predict") {
+	t0 := time.Now()
+	examples, id, ok := s.predictExamples(w, r)
+	t1 := time.Now()
+	s.stages[stageDecode].Observe(t1.Sub(t0))
+	if !ok {
 		return
-	}
-	if len(req.Examples) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("predict request has no examples"))
-		return
-	}
-	examples := make([]model.Example, 0, len(req.Examples))
-	for i, ex := range req.Examples {
-		switch {
-		case ex.Dense != nil && ex.Indices == nil && ex.Values == nil:
-			examples = append(examples, model.DenseExample(ex.Dense))
-		case ex.Dense == nil:
-			examples = append(examples, model.Example{Idx: ex.Indices, Vals: ex.Values})
-		default:
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("example %d mixes dense and sparse encodings", i))
-			return
-		}
 	}
 	var preds []float64
 	var err error
 	if s.coal != nil {
-		preds, err = s.coal.Predict(req.Model, examples)
+		preds, err = s.coal.Predict(id, examples)
 	} else {
-		preds, err = s.sched.Models().Predict(req.Model, examples)
+		preds, err = s.sched.Models().Predict(id, examples)
 	}
+	t2 := time.Now()
+	s.stages[stageScore].Observe(t2.Sub(t1))
 	if err != nil {
 		code := http.StatusBadRequest
 		switch {
@@ -362,12 +382,37 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, code, err)
 		return
 	}
-	s.counters.PredictRequest(len(preds))
-	s.writeJSON(w, http.StatusOK, predictResponse{
-		Model:       req.Model,
-		Predictions: preds,
-		Count:       len(preds),
-	})
+	if s.writeJSON(w, http.StatusOK, predictResponse{Model: id, Predictions: preds, Count: len(preds)}) {
+		s.counters.PredictRequest(len(preds))
+	}
+	s.stages[stageEncode].Observe(time.Since(t2))
+}
+
+// predictExamples decodes a predict body into the model id and its
+// examples; false means the error response has been written.
+func (s *Server) predictExamples(w http.ResponseWriter, r *http.Request) ([]model.Example, string, bool) {
+	req, ok := decodeBody(s, w, r, "predict", decodePredict)
+	if !ok {
+		return nil, "", false
+	}
+	if len(req.Examples) == 0 {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("predict request has no examples"))
+		return nil, "", false
+	}
+	examples := make([]model.Example, 0, len(req.Examples))
+	for i, ex := range req.Examples {
+		switch {
+		case ex.Dense != nil && ex.Indices == nil && ex.Values == nil:
+			examples = append(examples, model.DenseExample(ex.Dense))
+		case ex.Dense == nil:
+			examples = append(examples, model.Example{Idx: ex.Indices, Vals: ex.Values})
+		default:
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Errorf("example %d mixes dense and sparse encodings", i))
+			return nil, "", false
+		}
+	}
+	return examples, req.Model, true
 }
 
 // appendRowJSON is one ingested example: a sparse (indices, values)
@@ -398,27 +443,6 @@ type appendResponse struct {
 	Appended int    `json:"appended"`
 }
 
-// decodeAppendBody reads the whole (capped) body, then decodes it with
-// the reflection-free canonical scanner, falling back to encoding/json
-// on anything the scanner does not claim, so every error keeps
-// encoding/json's wording.
-func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request) (appendRequest, bool) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		s.writeBodyError(w, err, "append")
-		return appendRequest{}, false
-	}
-	if req, ok := decodeAppend(body); ok {
-		return req, true
-	}
-	var req appendRequest
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-		s.writeBodyError(w, err, "append")
-		return appendRequest{}, false
-	}
-	return req, true
-}
-
 // parseTask maps an append request's task name to a data.Task.
 func parseTask(name string) (data.Task, error) {
 	switch name {
@@ -432,7 +456,7 @@ func parseTask(name string) (data.Task, error) {
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	req, ok := s.decodeAppendBody(w, r)
+	req, ok := decodeBody(s, w, r, "append", decodeAppend)
 	if !ok {
 		return
 	}
@@ -509,6 +533,9 @@ type statsResponse struct {
 	// summary (p50/p95/p99); counts include error responses, so a
 	// route's count equals the requests issued against it.
 	Latency map[string]metrics.HistogramSnapshot `json:"latency"`
+	// PredictStages splits POST /v1/predict's handler latency into its
+	// decode, score and encode stages.
+	PredictStages map[string]metrics.HistogramSnapshot `json:"predict_stages"`
 	// Batch summarises the predict micro-batcher (queue depth gauge,
 	// coalescing factor, admission-control rejections); omitted when
 	// batching is not configured.
@@ -542,6 +569,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for pattern, h := range s.latency {
 		lat[pattern] = h.Snapshot()
 	}
+	stages := make(map[string]metrics.HistogramSnapshot, numPredictStages)
+	for i, name := range predictStageNames {
+		stages[name] = s.stages[i].Snapshot()
+	}
 	resp := statsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Machine:       s.sched.opts.Machine.Name,
@@ -550,6 +581,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PlanCache:     s.sched.Plans().Stats(),
 		Models:        s.sched.Models().Len(),
 		Latency:       lat,
+		PredictStages: stages,
 		Datasets:      data.Names(),
 		Graphs:        factor.GraphNames(),
 		NNDatasets:    nn.DatasetNames(),

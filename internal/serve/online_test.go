@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -459,5 +461,25 @@ func TestTwoJobsTrainWhileAppending(t *testing.T) {
 	}
 	if _, err := s.Wait(online, waitTimeout); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOnlineStatusOmitsNonFiniteCandidateLoss: publishOnline marks a
+// diverged candidate with a NaN loss; the job status must still encode
+// (GET /v1/jobs/{id} would otherwise fail), leaving the loss out while
+// versions_rolled_back counts the rejection.
+func TestOnlineStatusOmitsNonFiniteCandidateLoss(t *testing.T) {
+	for _, loss := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		st := JobStatus{ID: "job-1", Online: onlineProgress{candLoss: loss, liveLoss: 0.5, rolledBack: 1}.status()}
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatalf("candidate loss %v: status does not encode: %v", loss, err)
+		}
+		if strings.Contains(string(b), "last_candidate_loss") || !strings.Contains(string(b), `"versions_rolled_back":1`) {
+			t.Fatalf("candidate loss %v: status %s", loss, b)
+		}
+	}
+	if got := (onlineProgress{candLoss: 0.25}).status().LastCandidateLoss; got != 0.25 {
+		t.Fatalf("finite candidate loss reported as %v, want 0.25", got)
 	}
 }

@@ -180,6 +180,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("route=%q", promEscape(pattern)), s.latency[pattern].Export())
 	}
 
+	p.family("dimmwitted_predict_stage_seconds", "POST /v1/predict latency by stage: body read and decode, scoring, reply encode and write.", "histogram")
+	for i, name := range predictStageNames {
+		p.histogram("dimmwitted_predict_stage_seconds", fmt.Sprintf("stage=%q", name), s.stages[i].Export())
+	}
+
 	// Engine phase timers from traced jobs, labeled by executor kind
 	// and phase — the /metrics view of the span recorder's aggregates.
 	p.family("dimmwitted_engine_phase_seconds_total", "Engine wall clock attributed to each phase by traced jobs.", "counter")

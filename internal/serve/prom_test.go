@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dimmwitted/internal/core"
+	"dimmwitted/internal/model"
 )
 
 var (
@@ -289,6 +292,64 @@ func TestMetricsScrapeStability(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job still %s after %v", st.State, waitTimeout)
+		}
+	}
+}
+
+// TestPredictStageHistograms: every predict is timed per stage it
+// reaches, in /metrics as one dimmwitted_predict_stage_seconds family
+// and in /v1/stats as predict_stages.
+func TestPredictStageHistograms(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	client := ts.Client()
+	spec, _ := model.ByName("ls")
+	if err := srv.Scheduler().Models().Put("m", spec, core.Snapshot{Workload: core.WorkloadGLM, Spec: "ls", X: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"model":"m","examples":[{"indices":[1],"values":[1]}]}`, // all three stages
+		`{"model":"m","examples":[{"dense":[1,1]}]}`,              // all three stages
+		`{"model":"gone","examples":[{"dense":[1]}]}`,             // decode and score
+		`{"model":"m","examples":[`,                               // decode only
+	} {
+		resp, err := client.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	want := map[string]int64{"decode": 4, "score": 3, "encode": 2}
+
+	var stats statsResponse
+	if code := doJSON(t, client, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d", code)
+	}
+	for stage, n := range want {
+		if got := stats.PredictStages[stage].Count; got != n {
+			t.Errorf("/v1/stats predict_stages[%s].count = %d, want %d", stage, got, n)
+		}
+	}
+
+	resp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := parseExposition(t, string(raw))
+	for stage, n := range want {
+		label := `stage="` + stage + `"`
+		count := samples["dimmwitted_predict_stage_seconds_count"][label]
+		inf := samples["dimmwitted_predict_stage_seconds_bucket"][label+`,le="+Inf"`]
+		if count != float64(n) || inf != count {
+			t.Errorf("stage %s: _count %v, +Inf bucket %v, want %d", stage, count, inf, n)
+		}
+		if sum, ok := samples["dimmwitted_predict_stage_seconds_sum"][label]; !ok || sum < 0 {
+			t.Errorf("stage %s: _sum %v (present %v)", stage, sum, ok)
 		}
 	}
 }

@@ -345,6 +345,25 @@ type onlineProgress struct {
 	lastPublish time.Duration
 }
 
+// status reports the progress as an online job's status. A diverged
+// candidate's NaN or ±Inf loss is left out (encoding/json cannot
+// encode it); versions_rolled_back already counts its rejection.
+func (p onlineProgress) status() *OnlineStatus {
+	st := &OnlineStatus{
+		Rows:               p.rows,
+		DatasetVersion:     p.version,
+		VersionsPublished:  p.published,
+		VersionsPromoted:   p.promoted,
+		VersionsRolledBack: p.rolledBack,
+		LastLiveLoss:       p.liveLoss,
+		LastPublishMs:      float64(p.lastPublish) / float64(time.Millisecond),
+	}
+	if !math.IsNaN(p.candLoss) && !math.IsInf(p.candLoss, 0) {
+		st.LastCandidateLoss = p.candLoss
+	}
+	return st
+}
+
 // Options configures a scheduler (and, through it, a server).
 type Options struct {
 	// Machine is the default simulated topology; zero means local2.
@@ -1762,16 +1781,7 @@ func (s *Scheduler) statusLocked(j *job, withMarginals bool) JobStatus {
 		st.Trace = &sum
 	}
 	if j.handle != nil {
-		st.Online = &OnlineStatus{
-			Rows:               j.online.rows,
-			DatasetVersion:     j.online.version,
-			VersionsPublished:  j.online.published,
-			VersionsPromoted:   j.online.promoted,
-			VersionsRolledBack: j.online.rolledBack,
-			LastCandidateLoss:  j.online.candLoss,
-			LastLiveLoss:       j.online.liveLoss,
-			LastPublishMs:      float64(j.online.lastPublish) / float64(time.Millisecond),
-		}
+		st.Online = j.online.status()
 	}
 	for _, p := range j.curve.Points {
 		st.History = append(st.History, ProgressPoint{
