@@ -14,9 +14,8 @@
 // target rate into a bounded hand-off, -concurrency workers consume
 // them, and tokens nobody picks up in time are counted as "unsent" —
 // so when the client saturates, the report says so instead of
-// silently measuring a slower test. 429 responses (dwserve's predict
-// admission control, -batch-window) are counted separately from
-// errors: they are the server shedding load as designed.
+// silently measuring a slower test. Any non-200 answer counts as an
+// error.
 //
 // GLM models get random sparse examples in the model's coordinate
 // space; gibbs models get single-variable marginal lookups. NN models
@@ -78,11 +77,6 @@ type latencySnapshot struct {
 // statsSubset decodes the slice of /v1/stats the report prints.
 type statsSubset struct {
 	Latency map[string]latencySnapshot `json:"latency"`
-	Batch   *struct {
-		Requests int64 `json:"requests"`
-		Batches  int64 `json:"batches"`
-		Rejected int64 `json:"rejected"`
-	} `json:"batch"`
 }
 
 // report is the machine-readable result (-json).
@@ -95,11 +89,10 @@ type report struct {
 	Concurrency int     `json:"concurrency"`
 	Examples    int     `json:"examples_per_request"`
 
-	Issued   int64 `json:"issued"`
-	OK       int64 `json:"ok"`
-	Rejected int64 `json:"rejected_429"`
-	Errors   int64 `json:"errors"`
-	Unsent   int64 `json:"unsent"`
+	Issued int64 `json:"issued"`
+	OK     int64 `json:"ok"`
+	Errors int64 `json:"errors"`
+	Unsent int64 `json:"unsent"`
 
 	AchievedRPS    float64 `json:"achieved_rps"`
 	PredictionsSec float64 `json:"predictions_per_sec"`
@@ -125,7 +118,7 @@ func main() {
 	nnz := flag.Int("nnz", 8, "nonzeros per sparse example")
 	seed := flag.Int64("seed", 1, "example-generation seed")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file")
-	maxErrorRate := flag.Float64("max-error-rate", 1, "fail (exit 1) when (errors+429s)/issued exceeds this fraction; 1 never fails")
+	maxErrorRate := flag.Float64("max-error-rate", 1, "fail (exit 1) when errors/issued exceeds this fraction; 1 never fails")
 	appendTo := flag.String("append", "", "ingestion mode: append random rows to this stream dataset instead of driving predictions")
 	cols := flag.Int("cols", 256, "stream dimension for -append (used when the stream does not exist yet)")
 	chunks := flag.Int("chunks", 10, "number of append chunks for -append")
@@ -280,11 +273,6 @@ func run(client *http.Client, addr, modelID, train, dataset string, epochs int,
 		if sl, ok := stats.Latency["POST /v1/predict"]; ok {
 			rep.Server = &sl
 		}
-		if stats.Batch != nil && stats.Batch.Batches > 0 {
-			fmt.Printf("server batching: %d requests over %d batches (%.2f req/batch), %d rejected\n",
-				stats.Batch.Requests, stats.Batch.Batches,
-				float64(stats.Batch.Requests)/float64(stats.Batch.Batches), stats.Batch.Rejected)
-		}
 	}
 
 	printReport(rep)
@@ -301,16 +289,16 @@ func run(client *http.Client, addr, modelID, train, dataset string, epochs int,
 	// The report is always printed (and written) before the gate, so a
 	// failing run still documents what happened.
 	if rate, bad := errorRate(rep, maxErrorRate); bad {
-		return fmt.Errorf("error rate %.2f%% (errors+429s over issued) exceeds -max-error-rate %.2f%%",
+		return fmt.Errorf("error rate %.2f%% (errors over issued) exceeds -max-error-rate %.2f%%",
 			rate*100, maxErrorRate*100)
 	}
 	return nil
 }
 
-// errorRate computes the failed fraction of issued requests — HTTP
-// errors plus admission-control rejections — and reports whether it
-// exceeds the gate. A run that issued nothing is itself a failure when
-// any gate below 1 is set: an idle load test proves nothing.
+// errorRate computes the failed fraction of issued requests and
+// reports whether it exceeds the gate. A run that issued nothing is
+// itself a failure when any gate below 1 is set: an idle load test
+// proves nothing.
 func errorRate(rep report, max float64) (rate float64, exceeded bool) {
 	if max >= 1 {
 		return 0, false
@@ -318,7 +306,7 @@ func errorRate(rep report, max float64) (rate float64, exceeded bool) {
 	if rep.Issued == 0 {
 		return 1, true
 	}
-	rate = float64(rep.Errors+rep.Rejected) / float64(rep.Issued)
+	rate = float64(rep.Errors) / float64(rep.Issued)
 	return rate, rate > max
 }
 
@@ -418,7 +406,7 @@ func examplePool(info modelInfo, perReq, nnz int, rng *rand.Rand) ([][]byte, err
 func drive(client *http.Client, addr string, info modelInfo, pool [][]byte,
 	rps float64, duration time.Duration, concurrency int) report {
 	tokens := make(chan int, concurrency)
-	var issued, ok, rejected, errs, unsent, preds atomic.Int64
+	var issued, ok, errs, unsent, preds atomic.Int64
 	durCh := make(chan []time.Duration, concurrency)
 
 	var wg sync.WaitGroup
@@ -440,19 +428,16 @@ func drive(client *http.Client, addr string, info modelInfo, pool [][]byte,
 				raw, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				durs = append(durs, elapsed)
-				switch resp.StatusCode {
-				case http.StatusOK:
-					ok.Add(1)
-					var pr struct {
-						Count int64 `json:"count"`
-					}
-					if json.Unmarshal(raw, &pr) == nil {
-						preds.Add(pr.Count)
-					}
-				case http.StatusTooManyRequests:
-					rejected.Add(1)
-				default:
+				if resp.StatusCode != http.StatusOK {
 					errs.Add(1)
+					continue
+				}
+				ok.Add(1)
+				var pr struct {
+					Count int64 `json:"count"`
+				}
+				if json.Unmarshal(raw, &pr) == nil {
+					preds.Add(pr.Count)
 				}
 			}
 			durCh <- durs
@@ -510,7 +495,6 @@ func drive(client *http.Client, addr string, info modelInfo, pool [][]byte,
 		Concurrency: concurrency,
 		Issued:      issued.Load(),
 		OK:          ok.Load(),
-		Rejected:    rejected.Load(),
 		Errors:      errs.Load(),
 		Unsent:      unsent.Load(),
 	}
@@ -543,8 +527,8 @@ func quantileMs(sorted []time.Duration, q float64) float64 {
 }
 
 func printReport(r report) {
-	fmt.Printf("requests:    %d issued, %d ok, %d rejected (429), %d errors, %d unsent (client saturated)\n",
-		r.Issued, r.OK, r.Rejected, r.Errors, r.Unsent)
+	fmt.Printf("requests:    %d issued, %d ok, %d errors, %d unsent (client saturated)\n",
+		r.Issued, r.OK, r.Errors, r.Unsent)
 	fmt.Printf("throughput:  %.1f req/s, %.1f predictions/s over %.2fs\n", r.AchievedRPS, r.PredictionsSec, r.Seconds)
 	fmt.Printf("latency:     p50 %.2fms  p95 %.2fms  p99 %.2fms  max %.2fms  mean %.2fms\n",
 		r.P50Ms, r.P95Ms, r.P99Ms, r.MaxMs, r.MeanMs)

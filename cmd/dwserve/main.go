@@ -8,22 +8,11 @@
 //	dwserve -slots 4 -queue 1024
 //	dwserve -store /var/lib/dimmwitted      # durable models + crash-resume
 //	dwserve -store ./state -checkpoint-every 1
-//	dwserve -batch-window 500us             # micro-batch /v1/predict
-//	dwserve -batch-window 1ms -batch-max 128 -predict-queue 512
-//	dwserve -batch-window 1ms -auto-batch   # AIMD-tune window and cap
-//	dwserve -batch-window 1ms -auto-batch -auto-batch-target 2ms
 //	dwserve -debug-addr localhost:6060      # pprof on a separate port
 //
-// With -batch-window, concurrent /v1/predict requests for the same
-// model coalesce into one batched scorer call (identical results,
-// higher throughput); when the bounded predict queue fills, requests
-// are rejected with 429 and a Retry-After header instead of stacking
-// latency. Per-route latency percentiles appear under "latency" in
-// /v1/stats, the queue-depth gauge under "batch". Adding -auto-batch
-// runs an AIMD controller that retunes the window and cap live: p95
-// latency over -auto-batch-target halves both, a healthy coalescing
-// factor under target grows both additively ("batch_tuner" in
-// /v1/stats shows the current settings and decision counts).
+// Per-route latency percentiles appear under "latency" in /v1/stats,
+// and the predict route's decode/score/encode split under
+// "predict_stages".
 //
 // The optimizer is self-tuning by default: every finished epoch feeds
 // its wall clock back into plan choice, and once a plan has enough
@@ -136,15 +125,10 @@ func main() {
 	queue := flag.Int("queue", 0, "job queue depth (0 = 256)")
 	store := flag.String("store", "", "durable state directory: persists trained models and job checkpoints (empty = memory only)")
 	ckptEvery := flag.Int("checkpoint-every", 5, "checkpoint running jobs every N epochs (needs -store; 0 = never)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch window for /v1/predict: concurrent requests for one model coalesce into one batched call (0 = no batching)")
-	batchMax := flag.Int("batch-max", 0, "max coalesced examples per batched predict flush (0 = 256; needs -batch-window)")
-	predictQueue := flag.Int("predict-queue", 0, "predict admission-queue depth; a full queue answers 429 Retry-After (0 = 1024; needs -batch-window)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (e.g. localhost:6060; empty = no profiling endpoint)")
 	noFeedback := flag.Bool("no-feedback", false, "disable the self-tuning optimizer: plans come from the static cost model alone")
 	feedbackMinObs := flag.Int("feedback-min-obs", 0, "observed epochs before a measured cost overrides the static plan choice (0 = 3)")
 	feedbackEpsilon := flag.Float64("feedback-epsilon", 0, "probability of exploring the runner-up plan instead of the winner (0 = 0.05; negative disables exploration)")
-	autoBatch := flag.Bool("auto-batch", false, "auto-tune -batch-window/-batch-max from live p95 latency and the coalescing factor (needs -batch-window)")
-	autoBatchTarget := flag.Duration("auto-batch-target", 0, "p95 latency goal the batch auto-tuner defends (0 = 5ms; needs -auto-batch)")
 	maxBody := flag.Int64("max-body-bytes", 0, "request body cap in bytes; oversized requests answer 413 (0 = 64 MiB, negative = unlimited)")
 	peerOf := flag.String("peer-of", "", "coordinator URL to join as a cluster peer (e.g. http://coord:8090)")
 	advertise := flag.String("advertise", "", "address the coordinator dials back for this peer (default: -addr)")
@@ -161,12 +145,7 @@ func main() {
 		Machine:         top,
 		Slots:           *slots,
 		QueueDepth:      *queue,
-		BatchWindow:     *batchWindow,
-		BatchMax:        *batchMax,
-		PredictQueue:    *predictQueue,
 		DisableFeedback: *noFeedback,
-		AutoBatch:       *autoBatch,
-		AutoBatchConfig: serve.BatchTunerConfig{TargetP95: *autoBatchTarget},
 		MaxBodyBytes:    *maxBody,
 	}
 	if !*noFeedback {
@@ -243,20 +222,12 @@ func main() {
 	if *store != "" {
 		durability = fmt.Sprintf("store %s (checkpoint every %d epochs)", *store, *ckptEvery)
 	}
-	batching := "predict batching off"
-	if *batchWindow > 0 {
-		batching = fmt.Sprintf("predict batching %v", *batchWindow)
-		if *autoBatch {
-			batching += " (auto-tuned)"
-		}
-	}
+	planning := "self-tuning optimizer"
 	if *noFeedback {
-		batching += ", static planning"
-	} else {
-		batching += ", self-tuning optimizer"
+		planning = "static planning"
 	}
 	log.Printf("dwserve: listening on %s, machine %s, %d training slots, %s, %s, datasets %v, graphs %v, nn datasets %v",
-		*addr, top.Name, srv.Scheduler().Slots(), durability, batching, data.Names(), factor.GraphNames(), nn.DatasetNames())
+		*addr, top.Name, srv.Scheduler().Slots(), durability, planning, data.Names(), factor.GraphNames(), nn.DatasetNames())
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

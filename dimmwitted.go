@@ -283,13 +283,11 @@ func Predict(spec Spec, x []float64, examples []Example) ([]float64, error) {
 
 // Server is the HTTP serving front end: POST /v1/train, GET
 // /v1/jobs/{id}, POST /v1/predict, GET /v1/stats (see internal/serve).
-// Prediction serving runs on a sharded, lock-free-read model registry;
-// ServeOptions.BatchWindow additionally coalesces concurrent
-// /v1/predict requests into micro-batches with admission control.
+// Prediction serving runs on a sharded, lock-free-read model registry.
 type Server = serve.Server
 
 // ServeOptions configures a server or scheduler (worker slots, durable
-// stores, predict micro-batching).
+// stores, request body cap).
 type ServeOptions = serve.Options
 
 // Registry is the model registry servers predict from: lock-striped
@@ -303,9 +301,6 @@ func NewRegistry() *Registry { return serve.NewRegistry() }
 // ModelInfo is one row of the registry's model listing.
 type ModelInfo = serve.ModelInfo
 
-// BatchStats summarises the predict micro-batcher in /v1/stats.
-type BatchStats = serve.BatchStats
-
 // LatencySnapshot is a per-route latency percentile summary
 // (p50/p95/p99) as reported under "latency" in /v1/stats.
 type LatencySnapshot = metrics.HistogramSnapshot
@@ -313,10 +308,6 @@ type LatencySnapshot = metrics.HistogramSnapshot
 // ErrUnknownModel reports a registry miss (HTTP 404 on /v1/predict);
 // match it with errors.Is.
 var ErrUnknownModel = serve.ErrUnknownModel
-
-// ErrPredictOverloaded reports predict admission control turning a
-// request away (HTTP 429 + Retry-After); match it with errors.Is.
-var ErrPredictOverloaded = serve.ErrOverloaded
 
 // Scheduler runs training jobs asynchronously on a worker pool sized
 // from the NUMA topology.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,11 +209,23 @@ func newParallelExecutor(e *Engine) *parallelExecutor {
 	if pool < 1 {
 		pool = 1
 	}
+	// In delta mode lane bands are cut along replicas. Workers are
+	// placed node-minor (engine.go), so contiguous id bands would have
+	// every lane train every PerNode replica at once, summing the
+	// lanes' concurrent delta flushes into it, and the parallel loss
+	// drifts from the simulator's. Shared mode writes in place with no
+	// flush, so it keeps id bands, whose cross-lane steals balance the
+	// epoch barrier.
+	bands := e.workers
+	if p.delta {
+		bands = append([]*worker(nil), e.workers...)
+		sort.SliceStable(bands, func(a, b int) bool { return bands[a].repIdx < bands[b].repIdx })
+	}
 	p.lanes = make([][]*worker, pool)
 	p.feeds = make([]chan *epochTask, pool)
 	for g := range p.lanes {
 		lo, hi := g*n/pool, (g+1)*n/pool
-		p.lanes[g] = e.workers[lo:hi]
+		p.lanes[g] = bands[lo:hi]
 		p.feeds[g] = make(chan *epochTask, 1)
 	}
 	p.heads = make([]queueHead, n)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"dimmwitted/internal/core"
 	"dimmwitted/internal/data"
@@ -208,107 +207,5 @@ func TestFeedbackDisabled(t *testing.T) {
 	}
 	if st.PredictedSecondsPerEpoch != 0 {
 		t.Fatalf("predicted = %v with feedback off, want 0", st.PredictedSecondsPerEpoch)
-	}
-}
-
-// TestBatchTunerAIMD drives the controller's decision rule directly.
-func TestBatchTunerAIMD(t *testing.T) {
-	reg := NewRegistry()
-	coal := NewCoalescer(reg, CoalescerOptions{Window: time.Millisecond, MaxBatch: 256})
-	defer coal.Close()
-	cfg := BatchTunerConfig{
-		TargetP95: 5 * time.Millisecond,
-		MinWindow: 100 * time.Microsecond, MaxWindow: 10 * time.Millisecond,
-		MinBatch: 16, MaxBatch: 1024,
-		FactorThreshold: 1.05,
-	}
-	bt := NewBatchTuner(coal, nil, cfg)
-
-	// Over-target latency with traffic: multiplicative decrease.
-	bt.TickWith(20*time.Millisecond, 100, 10)
-	if got := coal.Window(); got != 500*time.Microsecond {
-		t.Fatalf("window after backoff = %v, want 500µs", got)
-	}
-	if got := coal.MaxBatch(); got != 128 {
-		t.Fatalf("max batch after backoff = %d, want 128", got)
-	}
-
-	// Healthy coalescing under target: additive increase.
-	bt.TickWith(time.Millisecond, 300, 20) // interval factor 200/10 = 20
-	if got := coal.Window(); got != 600*time.Microsecond {
-		t.Fatalf("window after increase = %v, want 600µs", got)
-	}
-	if got := coal.MaxBatch(); got != 144 {
-		t.Fatalf("max batch after increase = %d, want 144", got)
-	}
-
-	// Idle interval: the window drifts down; the cap holds.
-	bt.TickWith(0, 300, 20)
-	if got := coal.Window(); got != 500*time.Microsecond {
-		t.Fatalf("window after idle drift = %v, want 500µs", got)
-	}
-	if got := coal.MaxBatch(); got != 144 {
-		t.Fatalf("max batch after idle drift = %d, want 144", got)
-	}
-
-	// Repeated backoffs clamp at the floors, never zero.
-	for i := 0; i < 20; i++ {
-		bt.TickWith(time.Second, 300+int64(i+1), 20+int64(i+1))
-	}
-	if got := coal.Window(); got != cfg.MinWindow {
-		t.Fatalf("window floor = %v, want %v", got, cfg.MinWindow)
-	}
-	if got := coal.MaxBatch(); got != cfg.MinBatch {
-		t.Fatalf("batch floor = %d, want %d", got, cfg.MinBatch)
-	}
-
-	st := bt.Stats()
-	if st.Backoffs != 21 || st.Increases != 1 || st.Ticks != 23 {
-		t.Fatalf("tuner stats = %+v, want 21 backoffs, 1 increase, 23 ticks", st)
-	}
-}
-
-// TestBatchTunerClampsAtMax: additive growth stops at the ceilings.
-func TestBatchTunerClampsAtMax(t *testing.T) {
-	reg := NewRegistry()
-	coal := NewCoalescer(reg, CoalescerOptions{Window: time.Millisecond, MaxBatch: 256})
-	defer coal.Close()
-	bt := NewBatchTuner(coal, nil, BatchTunerConfig{
-		TargetP95: 5 * time.Millisecond,
-		MinWindow: time.Millisecond, MaxWindow: 3 * time.Millisecond,
-		MinBatch: 256, MaxBatch: 512,
-	})
-	for i := int64(1); i <= 10; i++ {
-		bt.TickWith(time.Millisecond, 100*i, 10*i)
-	}
-	if got := coal.Window(); got != 3*time.Millisecond {
-		t.Fatalf("window ceiling = %v, want 3ms", got)
-	}
-	if got := coal.MaxBatch(); got != 512 {
-		t.Fatalf("batch ceiling = %d, want 512", got)
-	}
-}
-
-// TestServerAutoBatchWiring: the server starts and stops the tuner and
-// surfaces its stats.
-func TestServerAutoBatchWiring(t *testing.T) {
-	srv := NewServer(Options{
-		BatchWindow: 200 * time.Microsecond,
-		AutoBatch:   true,
-		AutoBatchConfig: BatchTunerConfig{
-			Interval: time.Hour, // never ticks during the test
-		},
-	})
-	defer srv.Close()
-	bt := srv.BatchTuner()
-	if bt == nil {
-		t.Fatal("AutoBatch did not build a tuner")
-	}
-	st := bt.Stats()
-	if st.WindowMs <= 0 || st.MaxBatch <= 0 {
-		t.Fatalf("tuner stats = %+v, want live coalescer settings", st)
-	}
-	if cfg := bt.Config(); cfg.TargetP95 != 5*time.Millisecond {
-		t.Fatalf("default target p95 = %v, want 5ms", cfg.TargetP95)
 	}
 }

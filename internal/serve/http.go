@@ -21,14 +21,10 @@ import (
 // Server is the HTTP front end: a scheduler, its model registry and
 // plan cache, exposed as a JSON API (see the package comment for the
 // route table). Every route records its handler latency into a
-// per-route histogram surfaced by /v1/stats; with Options.BatchWindow
-// set, POST /v1/predict coalesces concurrent requests through a
-// micro-batching queue with admission control.
+// per-route histogram surfaced by /v1/stats.
 type Server struct {
 	sched    *Scheduler
 	counters *metrics.ServeCounters
-	coal     *Coalescer
-	tuner    *BatchTuner
 	mux      *http.ServeMux
 	// latency maps route patterns to their handler-latency histograms.
 	// The map is built at construction and read-only afterwards, so
@@ -57,13 +53,6 @@ func NewServer(opts Options) *Server {
 		maxBody:  opts.MaxBodyBytes,
 		started:  time.Now(),
 	}
-	if opts.BatchWindow > 0 {
-		s.coal = NewCoalescer(s.sched.Models(), CoalescerOptions{
-			Window:   opts.BatchWindow,
-			MaxBatch: opts.BatchMax,
-			Queue:    opts.PredictQueue,
-		})
-	}
 	s.handle("POST /v1/train", s.handleTrain)
 	s.handle("GET /v1/jobs", s.handleJobs)
 	s.handle("GET /v1/jobs/{id}", s.handleJob)
@@ -79,12 +68,6 @@ func NewServer(opts Options) *Server {
 	s.handle("GET /v1/cluster/replica/{id}", s.handleReplicaGet)
 	s.handle("POST /v1/cluster/replica/{id}", s.handleReplicaPut)
 	s.handle("GET /v1/datasets/{id}/rows", s.handleRows)
-	if opts.AutoBatch && s.coal != nil {
-		// The controller reads the predict route's latency histogram, so
-		// it starts after the routes (and their histograms) exist.
-		s.tuner = NewBatchTuner(s.coal, s.latency["POST /v1/predict"], opts.AutoBatchConfig)
-		s.tuner.Start()
-	}
 	return s
 }
 
@@ -110,25 +93,8 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 // Scheduler returns the underlying scheduler.
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
-// Coalescer returns the predict micro-batcher, or nil when batching is
-// not configured.
-func (s *Server) Coalescer() *Coalescer { return s.coal }
-
-// BatchTuner returns the AIMD coalescer controller, or nil when
-// auto-tuning is not configured.
-func (s *Server) BatchTuner() *BatchTuner { return s.tuner }
-
-// Close shuts the batch tuner, coalescer and scheduler down (see
-// Scheduler.Close).
-func (s *Server) Close() {
-	if s.tuner != nil {
-		s.tuner.Stop()
-	}
-	if s.coal != nil {
-		s.coal.Close()
-	}
-	s.sched.Close()
-}
+// Close shuts the scheduler down (see Scheduler.Close).
+func (s *Server) Close() { s.sched.Close() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -334,10 +300,9 @@ type predictResponse struct {
 }
 
 // Predict stages, in request order: reading and decoding the body
-// (through building the model examples), scoring (the coalescer's
-// queue wait included when batching is on), and encoding and writing
-// the reply. Each is timed into its own histogram on every request
-// that reaches it.
+// (through building the model examples), scoring in the registry, and
+// encoding and writing the reply. Each is timed into its own histogram
+// on every request that reaches it.
 const (
 	stageDecode = iota
 	stageScore
@@ -355,29 +320,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var preds []float64
-	var err error
-	if s.coal != nil {
-		preds, err = s.coal.Predict(id, examples)
-	} else {
-		preds, err = s.sched.Models().Predict(id, examples)
-	}
+	preds, err := s.sched.Models().Predict(id, examples)
 	t2 := time.Now()
 	s.stages[stageScore].Observe(t2.Sub(t1))
 	if err != nil {
 		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			// Admission control: tell the client when the queue is
-			// likely to have drained a flush window's worth of work.
-			w.Header().Set("Retry-After", retryAfterSeconds(s.coal.Window()))
-			code = http.StatusTooManyRequests
-		case errors.Is(err, ErrUnknownModel):
+		if errors.Is(err, ErrUnknownModel) {
 			code = http.StatusNotFound
-		case errors.Is(err, errCoalescerClosed):
-			// Shutdown is a server-side condition; tell clients to retry
-			// elsewhere, not that their request was malformed.
-			code = http.StatusServiceUnavailable
 		}
 		s.writeError(w, code, err)
 		return
@@ -536,13 +485,6 @@ type statsResponse struct {
 	// PredictStages splits POST /v1/predict's handler latency into its
 	// decode, score and encode stages.
 	PredictStages map[string]metrics.HistogramSnapshot `json:"predict_stages"`
-	// Batch summarises the predict micro-batcher (queue depth gauge,
-	// coalescing factor, admission-control rejections); omitted when
-	// batching is not configured.
-	Batch *BatchStats `json:"batch,omitempty"`
-	// BatchTuner summarises the AIMD coalescer controller (current
-	// window/cap, backoffs, increases); omitted unless auto-tuning is on.
-	BatchTuner *BatchTunerStats `json:"batch_tuner,omitempty"`
 	// Optimizer summarises the self-tuning optimizer's feedback store
 	// (keys, observations, explorations); omitted when the feedback loop
 	// is disabled.
@@ -585,14 +527,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Datasets:      data.Names(),
 		Graphs:        factor.GraphNames(),
 		NNDatasets:    nn.DatasetNames(),
-	}
-	if s.coal != nil {
-		st := s.coal.Stats()
-		resp.Batch = &st
-	}
-	if s.tuner != nil {
-		st := s.tuner.Stats()
-		resp.BatchTuner = &st
 	}
 	if fb := s.sched.Feedback(); fb != nil {
 		st := fb.Stats()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"dimmwitted/internal/core"
 	"dimmwitted/internal/data"
 	"dimmwitted/internal/model"
+	"dimmwitted/internal/nn"
 	"dimmwitted/internal/numa"
 )
 
@@ -210,22 +213,20 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("empty predict: status %d, want 400", code)
 	}
 
-	// Out-of-range indices are rejected, not a panic.
+	// Bad examples are rejected with 400, not a panic: out-of-range
+	// indices, ragged sparse pairs, and mixed encodings whichever
+	// sparse half is present.
 	id, _ := trainToCompletion(t, client, ts.URL, TrainRequest{Model: "svm", Dataset: "reuters", MaxEpochs: 1})
-	bad := predictRequest{Model: id, Examples: []exampleJSON{{Indices: []int32{1 << 30}, Values: []float64{1}}}}
-	if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/predict", bad, &errResp); code != http.StatusBadRequest {
-		t.Errorf("out-of-range predict: status %d, want 400", code)
-	}
-
-	// Mixed encodings are rejected whichever sparse half is present.
 	for _, ex := range []exampleJSON{
+		{Indices: []int32{1 << 30}, Values: []float64{1}},
+		{Indices: []int32{0, 1}, Values: []float64{1}},
 		{Indices: []int32{1}, Values: []float64{1}, Dense: []float64{1, 2}},
 		{Values: []float64{9, 9}, Dense: []float64{1, 2}},
 		{Indices: []int32{0, 1}, Dense: []float64{1, 2}},
 	} {
-		mixed := predictRequest{Model: id, Examples: []exampleJSON{ex}}
-		if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/predict", mixed, &errResp); code != http.StatusBadRequest {
-			t.Errorf("mixed encoding %+v: status %d, want 400", ex, code)
+		bad := predictRequest{Model: id, Examples: []exampleJSON{ex}}
+		if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/predict", bad, &errResp); code != http.StatusBadRequest {
+			t.Errorf("bad example %+v: status %d, want 400", ex, code)
 		}
 	}
 
@@ -234,6 +235,141 @@ func TestHTTPErrors(t *testing.T) {
 	if stats.Counters.HTTPErrors < 4 {
 		t.Errorf("http errors counter %d, want >= 4", stats.Counters.HTTPErrors)
 	}
+}
+
+// equivalenceFixture registers one serving model per prediction path —
+// all six GLM specs, the gibbs marginal lookup, and the nn argmax —
+// and returns per-model example batches in the model's input encoding.
+func equivalenceFixture(t *testing.T, reg *Registry, rng *rand.Rand) map[string][][]model.Example {
+	t.Helper()
+	const dim = 32
+	const reqs, perReq = 8, 3
+	batches := map[string][][]model.Example{}
+
+	sparse := func() []model.Example {
+		out := make([]model.Example, perReq)
+		for i := range out {
+			out[i] = model.Example{
+				Idx:  []int32{int32(rng.Intn(dim / 2)), int32(dim/2 + rng.Intn(dim/2))},
+				Vals: []float64{rng.NormFloat64(), rng.NormFloat64()},
+			}
+		}
+		return out
+	}
+
+	for _, name := range []string{"svm", "lr", "ls", "lp", "qp", "sum"} {
+		spec, err := model.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, dim)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		id := "glm-" + name
+		snap := core.Snapshot{Workload: core.WorkloadGLM, Spec: name, Dataset: "synthetic", X: x}
+		if err := reg.Put(id, spec, snap); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < reqs; r++ {
+			batches[id] = append(batches[id], sparse())
+		}
+	}
+
+	// Gibbs: marginal lookup by variable index.
+	marg := make([]float64, dim)
+	for i := range marg {
+		marg[i] = rng.Float64()
+	}
+	if err := reg.PutScored("gibbs-1", marginalScorer,
+		core.Snapshot{Workload: core.WorkloadGibbs, Spec: "gibbs", Dataset: "paleo", X: marg}); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < reqs; r++ {
+		exs := make([]model.Example, perReq)
+		for i := range exs {
+			exs[i] = model.Example{Idx: []int32{int32(rng.Intn(dim))}, Vals: []float64{1}}
+		}
+		batches["gibbs-1"] = append(batches["gibbs-1"], exs)
+	}
+
+	// NN: argmax forward pass over a small dense network.
+	sizes := []int{6, 4, 3}
+	params := nn.NewNetwork(sizes, 7).Params()
+	scorer := func(x []float64, examples []model.Example) ([]float64, error) {
+		return nn.PredictBatch(sizes, x, examples)
+	}
+	if err := reg.PutScored("nn-1", scorer,
+		core.Snapshot{Workload: core.WorkloadNN, Spec: "nn", Dataset: "synthetic", X: params}); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < reqs; r++ {
+		exs := make([]model.Example, perReq)
+		for i := range exs {
+			dense := make([]float64, sizes[0])
+			for j := range dense {
+				dense[j] = rng.Float64()
+			}
+			exs[i] = model.DenseExample(dense)
+		}
+		batches["nn-1"] = append(batches["nn-1"], exs)
+	}
+	return batches
+}
+
+// TestHTTPPredictBitIdentical: predictions served over POST
+// /v1/predict are bit-identical (==, not within tolerance) to direct
+// registry calls for all six GLM specs plus the gibbs-marginal and
+// nn-argmax serving paths, with every request issued concurrently.
+func TestHTTPPredictBitIdentical(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	client := ts.Client()
+	reg := srv.Scheduler().Models()
+	batches := equivalenceFixture(t, reg, rand.New(rand.NewSource(42)))
+
+	var wg sync.WaitGroup
+	for id, reqs := range batches {
+		for r, exs := range reqs {
+			want, err := reg.Predict(id, exs)
+			if err != nil {
+				t.Fatalf("direct predict %s: %v", id, err)
+			}
+			req := predictRequest{Model: id}
+			for _, ex := range exs {
+				req.Examples = append(req.Examples, exampleJSON{Indices: ex.Idx, Values: ex.Vals})
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(id string, r int) {
+				defer wg.Done()
+				hr, err := client.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("%s/%d: %v", id, r, err)
+					return
+				}
+				defer hr.Body.Close()
+				var resp predictResponse
+				if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil || hr.StatusCode != http.StatusOK {
+					t.Errorf("%s/%d: status %d, decode error %v", id, r, hr.StatusCode, err)
+					return
+				}
+				if len(resp.Predictions) != len(want) {
+					t.Errorf("%s/%d: %d predictions, want %d", id, r, len(resp.Predictions), len(want))
+					return
+				}
+				for i := range want {
+					if resp.Predictions[i] != want[i] {
+						t.Errorf("%s/%d example %d: served %v != direct %v (must be bit-identical)",
+							id, r, i, resp.Predictions[i], want[i])
+					}
+				}
+			}(id, r)
+		}
+	}
+	wg.Wait()
 }
 
 func TestHTTPCancel(t *testing.T) {

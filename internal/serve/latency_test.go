@@ -1,44 +1,20 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
-	"sync"
 	"testing"
-	"time"
-
-	"dimmwitted/internal/core"
-	"dimmwitted/internal/model"
 )
 
-// jsonBody marshals v for a hand-built request.
-func jsonBody(t *testing.T, v any) io.Reader {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.NewReader(b)
-}
-
-// TestHTTPLatencyContract is the end-to-end latency/backpressure
-// contract: /v1/stats must report per-route histograms whose counts
-// match the requests actually issued and whose percentiles are sane
-// (p50 <= p95 <= p99 <= max), and once the predict coalescer's queue
-// is saturated, admission control must answer 429 with a Retry-After
-// header — then serve every admitted request once the path unblocks.
+// TestHTTPLatencyContract is the end-to-end latency contract:
+// /v1/stats must report per-route histograms whose counts match the
+// requests actually issued and whose percentiles are sane
+// (p50 <= p95 <= p99 <= max).
 func TestHTTPLatencyContract(t *testing.T) {
-	srv, ts := newTestServer(t, Options{
-		BatchWindow:  time.Millisecond,
-		BatchMax:     1, // every request flushes alone: saturation below is deterministic
-		PredictQueue: 2,
-	})
+	_, ts := newTestServer(t, Options{})
 	client := ts.Client()
 
-	// Phase A: a normal train-then-predict session; the histograms
-	// must account for every request.
+	// A normal train-then-predict session; the histograms must
+	// account for every request.
 	id, _ := trainToCompletion(t, client, ts.URL, TrainRequest{
 		Model: "svm", Dataset: "reuters", MaxEpochs: 2,
 	})
@@ -73,125 +49,5 @@ func TestHTTPLatencyContract(t *testing.T) {
 	}
 	if tl := stats.Latency["POST /v1/train"]; tl.Count != 1 {
 		t.Fatalf("train latency count %d, want 1", tl.Count)
-	}
-	if stats.Batch == nil || !stats.Batch.Enabled {
-		t.Fatalf("batch stats %+v, want enabled", stats.Batch)
-	}
-
-	// Phase B: saturate the coalescer deterministically. A blocking
-	// scorer pins all four scoring workers, one more request blocks in
-	// the dispatcher hand-off, two fill the queue; the next request
-	// must be rejected with 429 + Retry-After.
-	entered := make(chan struct{}, 16)
-	release := make(chan struct{})
-	blocker := func(x []float64, examples []model.Example) ([]float64, error) {
-		entered <- struct{}{}
-		<-release
-		return make([]float64, len(examples)), nil
-	}
-	if err := srv.Scheduler().Models().PutScored("slow", blocker,
-		core.Snapshot{Workload: core.WorkloadGLM, Spec: "svm", X: []float64{0}}); err != nil {
-		t.Fatal(err)
-	}
-
-	preq := predictRequest{Model: "slow", Examples: []exampleJSON{{Indices: []int32{0}, Values: []float64{1}}}}
-	codes := make(chan int, 8)
-	var wg sync.WaitGroup
-	submit := func() {
-		defer wg.Done()
-		var out predictResponse
-		codes <- doJSON(t, client, http.MethodPost, ts.URL+"/v1/predict", preq, &out)
-	}
-	const workers = 4 // the coalescer's default scoring pool
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go submit()
-	}
-	for i := 0; i < workers; i++ {
-		select {
-		case <-entered:
-		case <-time.After(10 * time.Second):
-			t.Fatal("scoring workers never saturated")
-		}
-	}
-	// One into the dispatcher, two into the queue.
-	for want := int64(workers + 1); want <= workers+3; want++ {
-		wg.Add(1)
-		go submit()
-		deadline := time.Now().Add(10 * time.Second)
-		for srv.Coalescer().Stats().Depth != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("depth gauge stuck below %d: %+v", want, srv.Coalescer().Stats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	// The queue is full: admission control answers 429 + Retry-After.
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", jsonBody(t, preq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated predict: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		// The 1ms flush window rounds up to the 1-second floor.
-		t.Fatalf("429 Retry-After = %q, want \"1\"", ra)
-	}
-
-	// Unblock: every admitted request completes with 200.
-	close(release)
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("admitted request finished with status %d", code)
-		}
-	}
-
-	// Final accounting: the predict route's histogram saw every issued
-	// request — phase A, the seven admitted, and the rejected one.
-	doJSON(t, client, http.MethodGet, ts.URL+"/v1/stats", nil, &stats)
-	if got := stats.Latency["POST /v1/predict"].Count; got != predicts+workers+4 {
-		t.Fatalf("predict latency count %d, want %d", got, predicts+workers+4)
-	}
-	if stats.Batch.Rejected != 1 {
-		t.Fatalf("batch stats %+v, want exactly 1 rejection", stats.Batch)
-	}
-	if stats.Batch.Depth != 0 {
-		t.Fatalf("queue depth gauge %d after drain, want 0", stats.Batch.Depth)
-	}
-}
-
-// TestRetryAfterSeconds pins the 429 hint's rounding: the flush window
-// rounds UP to whole seconds with a 1-second floor. A whole-second
-// window must not gain a spurious extra second (a 1s window once
-// answered Retry-After: 2), and sub-second windows must not truncate
-// to zero.
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		window time.Duration
-		want   string
-	}{
-		{0, "1"},
-		{time.Millisecond, "1"},
-		{500 * time.Millisecond, "1"},
-		{999 * time.Millisecond, "1"},
-		{time.Second, "1"},
-		{time.Second + time.Millisecond, "2"},
-		{1500 * time.Millisecond, "2"},
-		{2 * time.Second, "2"},
-		{2*time.Second + time.Nanosecond, "3"},
-	}
-	for _, c := range cases {
-		if got := retryAfterSeconds(c.window); got != c.want {
-			t.Errorf("retryAfterSeconds(%v) = %q, want %q", c.window, got, c.want)
-		}
 	}
 }

@@ -143,23 +143,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	p.gauge("dimmwitted_models", "Models registered for serving.", float64(s.sched.Models().Len()))
 
-	if s.coal != nil {
-		b := s.coal.Stats()
-		p.gauge("dimmwitted_predict_queue_depth", "Predict requests admitted and not yet answered.", float64(b.Depth))
-		p.gauge("dimmwitted_predict_queue_capacity", "Predict admission queue bound.", float64(b.Capacity))
-		p.counter("dimmwitted_predict_batches_total", "Batched registry calls issued by the coalescer.", float64(b.Batches))
-		p.counter("dimmwitted_predict_batched_requests_total", "Requests served through coalesced batches.", float64(b.Requests))
-		p.counter("dimmwitted_predict_rejected_total", "Admission-control rejections (429).", float64(b.Rejected))
-	}
-
-	if s.tuner != nil {
-		bt := s.tuner.Stats()
-		p.gauge("dimmwitted_batch_window_seconds", "Coalescer flush window after the latest auto-tune tick.", bt.WindowMs/1e3)
-		p.gauge("dimmwitted_batch_max_examples", "Coalescer per-flush example cap after the latest auto-tune tick.", float64(bt.MaxBatch))
-		p.counter("dimmwitted_batch_tuner_backoffs_total", "Auto-tune multiplicative decreases (p95 over target).", float64(bt.Backoffs))
-		p.counter("dimmwitted_batch_tuner_increases_total", "Auto-tune additive increases (coalescing factor justified growth).", float64(bt.Increases))
-	}
-
 	if fb := s.sched.Feedback(); fb != nil {
 		ts := fb.Stats()
 		p.counter("dimmwitted_optimizer_observations_total", "Epoch wall-clock observations recorded by the self-tuning optimizer.", float64(ts.Observations))

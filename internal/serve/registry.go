@@ -401,17 +401,6 @@ func (r *Registry) Fetch(id string) (model.Spec, core.Snapshot, error) {
 // publish time — is read through one atomic pointer and scored as an
 // immutable unit.
 func (r *Registry) Predict(id string, examples []model.Example) ([]float64, error) {
-	sm, err := r.resolve(id)
-	if err != nil {
-		return nil, err
-	}
-	return sm.scorer(sm.x, examples)
-}
-
-// resolve is the shared resolution step of the direct and batched
-// predict paths: lookup plus the can-this-model-predict check, so the
-// two paths cannot drift apart in guard logic or error text.
-func (r *Registry) resolve(id string) (*servingModel, error) {
 	sm, err := r.lookup(id)
 	if err != nil {
 		return nil, err
@@ -419,7 +408,7 @@ func (r *Registry) resolve(id string) (*servingModel, error) {
 	if sm.scorer == nil {
 		return nil, fmt.Errorf("serve: model %q (%s) does not support prediction", id, sm.snap.Spec)
 	}
-	return sm, nil
+	return sm.scorer(sm.x, examples)
 }
 
 // List returns info for every registered model — including store-

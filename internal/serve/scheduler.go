@@ -391,18 +391,6 @@ type Options struct {
 	// CheckpointEvery snapshots every running job's engine state after
 	// each N completed epochs (requires Checkpoints); 0 disables.
 	CheckpointEvery int
-	// BatchWindow enables request micro-batching on POST /v1/predict:
-	// concurrent predictions for the same model are coalesced into one
-	// batched scorer call, gathered for up to this window after the
-	// first request arrives. 0 disables batching (requests score
-	// directly, the default). Server-level; schedulers ignore it.
-	BatchWindow time.Duration
-	// BatchMax caps the coalesced examples per flush; 0 means 256.
-	BatchMax int
-	// PredictQueue bounds the coalescer's admission queue; a full
-	// queue answers 429 with Retry-After instead of stacking latency.
-	// 0 means 1024. Ignored unless BatchWindow is set.
-	PredictQueue int
 	// Feedback is the self-tuning optimizer's observation store: every
 	// finished epoch records its wall clock against the executed plan's
 	// axes, and once a key crosses the store's observation threshold
@@ -414,15 +402,6 @@ type Options struct {
 	// from the static cost model alone, epochs record nothing, and the
 	// plan cache never invalidates on a winner flip.
 	DisableFeedback bool
-	// AutoBatch enables the AIMD controller that tunes the predict
-	// coalescer's flush window and batch cap from live p95 latency and
-	// the achieved coalescing factor. Requires BatchWindow; see
-	// BatchTunerConfig for the bounds. Server-level.
-	AutoBatch bool
-	// AutoBatchConfig bounds and paces the controller; zero values take
-	// the defaults documented on BatchTunerConfig. Ignored unless
-	// AutoBatch is set.
-	AutoBatchConfig BatchTunerConfig
 	// MaxBodyBytes caps the request body every POST handler will read;
 	// an oversized body answers 413 instead of exhausting memory. 0
 	// means 64 MiB; negative disables the cap. Server-level.
@@ -1429,20 +1408,21 @@ func (s *Scheduler) run(j *job) {
 	} else {
 		persistErr = s.publish(j, eng.Snapshot())
 	}
-	s.finish(j, JobDone, "")
 	// A completed job's resume state is superseded by its registry
 	// model (which warm_start can continue from); drop the checkpoints —
 	// the revived source job's too, or every crash/resume cycle would
 	// leak stale-but-resumable generations forever. Unless the model's
 	// own durable write-through just failed, in which case the last
 	// checkpoint is the only on-disk copy of the state and must survive
-	// for resume.
+	// for resume. The deletes come before finish, so a waiter that sees
+	// the job done never finds its checkpoints still on disk.
 	if s.opts.Checkpoints != nil && persistErr == nil {
 		_ = s.opts.Checkpoints.Delete(j.id)
 		if j.resumedFrom != "" {
 			_ = s.opts.Checkpoints.Delete(j.resumedFrom)
 		}
 	}
+	s.finish(j, JobDone, "")
 }
 
 // ckptMeta is a checkpoint's metadata envelope: the submitted request

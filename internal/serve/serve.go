@@ -21,13 +21,11 @@
 // shards whose entries hold immutable, pre-resolved serving models
 // (spec + flat weight slice + scorer, built once at publish time)
 // published by atomic pointer swap, so Predict is lock-free; lazy
-// loads from the durable store are single-flight per id; and an
-// optional micro-batching coalescer (Options.BatchWindow) merges
-// concurrent /v1/predict requests for one model into one batched
-// scorer call behind a bounded admission queue (429 + Retry-After when
-// full). Per-route latency histograms (p50/p95/p99) and the queue-
-// depth gauge surface in /v1/stats; cmd/dwload drives the whole path
-// at a target request rate. See DESIGN.md "The serving path".
+// loads from the durable store are single-flight per id. Per-route
+// latency histograms (p50/p95/p99) and the predict stage split
+// (decode/score/encode) surface in /v1/stats; cmd/dwload drives the
+// whole path at a target request rate. See DESIGN.md "The serving
+// path".
 //
 // The HTTP surface:
 //
@@ -40,9 +38,8 @@
 //	                            durable checkpoint        -> {job_id}
 //	GET    /v1/models           list trained models
 //	POST   /v1/predict          batched predictions from a model
-//	                            (coalesced when batching is on)
 //	GET    /v1/stats            serving counters, latency percentiles,
-//	                            cache, queue and batch stats
+//	                            predict stages, cache and queue stats
 //	GET    /v1/jobs/{id}/trace  span journal of a traced job (submit
 //	                            with "trace": true); ?format=chrome
 //	                            exports Chrome trace_event JSON
