@@ -11,7 +11,7 @@
 //	dwserve -debug-addr localhost:6060      # pprof on a separate port
 //
 // Per-route latency percentiles appear under "latency" in /v1/stats,
-// and the predict route's decode/score/encode split under
+// and the predict route's read/decode/score/encode split under
 // "predict_stages".
 //
 // The optimizer is self-tuning by default: every finished epoch feeds

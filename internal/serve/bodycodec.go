@@ -47,17 +47,21 @@ func readBody(buf *bytes.Buffer, r io.Reader, declared int64) error {
 // keeps encoding/json's wording. The body is read in full before any
 // of it is decoded, so a body over the cap answers 413 even when its
 // first JSON value would have decoded (or failed) within it; any other
-// failure answers 400. false means the error response is written.
+// failure answers 400. false means the error response is written. A
+// non-nil clock laps stageRead when the read ends.
 //
 // The buffer goes back to the pool before decodeBody returns. That is
 // safe because nothing decoded aliases it: the scanner copies strings
 // out and carves numbers into its own arenas, and encoding/json copies
 // everything it keeps.
-func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, what string, fast func([]byte) (T, bool)) (T, bool) {
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, what string, fast func([]byte) (T, bool), clock *stageClock) (T, bool) {
 	buf := getBuf()
 	defer putBuf(buf)
 	var req T
 	err := readBody(buf, r.Body, r.ContentLength)
+	if clock != nil {
+		clock.lap(stageRead)
+	}
 	if err == nil {
 		var ok bool
 		if req, ok = fast(buf.Bytes()); ok {
@@ -77,10 +81,11 @@ func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, what s
 // clients emit — {"rows":[{"indices":[...],"values":[...]|"dense":[...],
 // "label":x},...],"cols":n,"task":"..."}, keys in any order — without
 // reflection. Every value is bitwise identical to what json.Unmarshal
-// would produce: floats go through strconv.ParseFloat, the function
-// encoding/json uses, and integers are parsed with
-// strconv.ParseInt's accept set. "[]" decodes to an empty non-nil
-// slice and an absent key leaves nil, as encoding/json does.
+// would produce: floats are read once and rounded exactly as
+// strconv.ParseFloat, the function encoding/json uses, rounds them
+// (see float.go), and integers are parsed with strconv.ParseInt's
+// accept set. "[]" decodes to an empty non-nil slice and an absent key
+// leaves nil, as encoding/json does.
 //
 // ok == false means "not mine", never "invalid": null, duplicate,
 // case-variant or unknown keys, string escapes or non-ASCII, trailing
@@ -167,48 +172,6 @@ func (s *scanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// number consumes a JSON number literal.
-func (s *scanner) number() ([]byte, bool) {
-	s.ws()
-	start := s.i
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
-	}
-	switch {
-	case s.i < len(s.b) && s.b[s.i] == '0':
-		s.i++
-	case s.i < len(s.b) && s.b[s.i] >= '1' && s.b[s.i] <= '9':
-		s.digits()
-	default:
-		return nil, false
-	}
-	if s.i < len(s.b) && s.b[s.i] == '.' {
-		s.i++
-		if !s.digits() {
-			return nil, false
-		}
-	}
-	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
-		s.i++
-		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
-			s.i++
-		}
-		if !s.digits() {
-			return nil, false
-		}
-	}
-	return s.b[start:s.i], true
-}
-
-// digits consumes one or more decimal digits.
-func (s *scanner) digits() bool {
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		s.i++
-	}
-	return s.i > start
-}
-
 // int parses an integer literal in one pass, accepting exactly what
 // strconv.ParseInt(lit, 10, bits) accepts of a JSON integer: no
 // leading zeros, "-0" allowed, the signed bounds exact. A fraction or
@@ -239,15 +202,6 @@ func (s *scanner) int(bits int) (int64, bool) {
 		return -int64(n), n <= limit
 	}
 	return int64(n), n < limit
-}
-
-func (s *scanner) float() (float64, bool) {
-	lit, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	return f, err == nil
 }
 
 // seq parses a JSON array, calling elem once per element.

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -258,6 +260,9 @@ func canonicalPredictBodies(t testing.TB) [][]byte {
 		[]byte(`{"model":"m","examples":[{"indices":[2147483647,-2147483648,0,-0],"values":[1,2,3,4]}]}`),
 		[]byte(`{"model":"m","examples":[{"indices":[],"values":[]},{"dense":[]},{"values":[1E+2]}]}`),
 		[]byte(`{"model":"m","examples":[{"indices":[1],"values":[1],"dense":[1]}]}`),
+		// 25-digit mantissas: past 19 digits the scanner hands the
+		// literal to strconv.ParseFloat.
+		[]byte(`{"model":"m","examples":[{"indices":[0,1],"values":[1.234567890123456789012345,-0.1000000000000000000000001e-3]}]}`),
 		[]byte(`{"model":"","examples":[]}`),
 		[]byte(`{"model":"a<b&c>d~"}`),
 		[]byte(`{}`),
@@ -593,5 +598,208 @@ func TestHTTPPredictReadsWholeBody(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Errorf("%d-byte body %.20q...: status %d, want %d", len(tc.body), tc.body, resp.StatusCode, tc.code)
 		}
+	}
+}
+
+// floatEdgeLiterals are scanner.float inputs at the edges of the
+// grammar and of each rounding path: signed zeros, the subnormal and
+// normal bounds, the largest finite value and the first past it,
+// halfway cases, mantissas of 19, 20, 54 and 800 digits with and
+// without nonzero digits past the 19th, leading fraction zeros, the
+// exact path's exponent bounds, out of range and overlong exponents,
+// and malformed literals.
+func floatEdgeLiterals() []string {
+	zeros := func(n int) string { return strings.Repeat("0", n) }
+	return []string{
+		"0", "-0", "-0.0", "0.0", "0e400", "-0e-400",
+		"5e-324", "4.9e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+		"2.2250738585072011e-308", "2.2250738585072014e-308",
+		"1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+		"9007199254740992", "9007199254740993", "-9007199254740995",
+		"1234567890123456789", "12345678901234567890", "99999999999999999990", "9.9999999999999999990", "1234567890123456789.5",
+		// The halfway point between 1 and the next float64, and
+		// either side of it in the 54th digit.
+		"1.00000000000000011102230246251565404236316680908203125",
+		"1.00000000000000011102230246251565404236316680908203124",
+		"1.00000000000000011102230246251565404236316680908203126",
+		"100000000000000011102230246251565404236316680908203126e-53",
+		"1" + zeros(799), "1" + zeros(799) + "e-790", "1" + zeros(798) + "1e-790",
+		"0." + zeros(799) + "1", "0." + zeros(30) + "1e40", "0.1" + zeros(798) + "1",
+		"1e-400", "1e400", "-1e400", "1e99999999999", "1e-99999999999", "1e00000000000000000022",
+		"1e-22", "1e22", "1e23", "1e-23", "8.41e21", "123456789012345e22",
+		"1E5", "1e+5", "1e-5", "1.5E-5", "1.5.3", "01", "-01", "1]", " \t\r\n0.5,",
+		"", "-", "+1", ".5", "1.", "1.e5", "1e", "1e+", "-.5", "0x10", "1_000", "Infinity", "NaN", "-x",
+	}
+}
+
+// checkScanFloat runs scanner.float on b against two references:
+// encoding/json's decoder for where the JSON number grammar ends, and
+// strconv.ParseFloat of exactly those bytes for the value. A literal
+// strconv rejects as out of range must not be claimed.
+func checkScanFloat(t *testing.T, b []byte) {
+	t.Helper()
+	s := scanner{b: b}
+	got, ok := s.float()
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var v any
+	err := dec.Decode(&v)
+	num, isNum := v.(json.Number)
+	if err != nil || !isNum {
+		if ok {
+			t.Fatalf("%.60q: claimed %v, but it does not start with a JSON number", b, got)
+		}
+		return
+	}
+	want, perr := strconv.ParseFloat(string(num), 64)
+	switch {
+	case perr != nil && ok:
+		t.Fatalf("%.60q: claimed %v, but strconv.ParseFloat says %v", num, got, perr)
+	case perr != nil:
+		// Out of range, and rightly not claimed.
+	case !ok:
+		t.Fatalf("%.60q: refused a number strconv.ParseFloat reads as %v", num, want)
+	case s.i != int(dec.InputOffset()):
+		t.Fatalf("%.60q: cursor at %d, the number ends at %d", b, s.i, dec.InputOffset())
+	case math.Float64bits(got) != math.Float64bits(want):
+		t.Fatalf("%.60q: scanned %v (%#x), strconv.ParseFloat %v (%#x)", num, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func TestScanFloatEdges(t *testing.T) {
+	for _, lit := range floatEdgeLiterals() {
+		checkScanFloat(t, []byte(lit))
+	}
+	// Literals too long for fuzz seeds. strconv stops counting an
+	// exponent once it reaches 10000; a literal long enough to bring
+	// the true exponent back into range shows that the scanner counts
+	// the same way.
+	for _, lit := range []string{
+		"1" + strings.Repeat("0", 10000) + "e-10000",
+		"1" + strings.Repeat("0", 10000) + "e-00000000000000010005",
+		"1234567890123456789" + strings.Repeat("0", 99982) + "e-100005",
+	} {
+		checkScanFloat(t, []byte(lit))
+	}
+	// One literal per power-of-ten table row, with mantissas past 2^53
+	// so that none takes the exact path.
+	for e := pow10MinExp10; e <= pow10MaxExp10; e++ {
+		for _, man := range []string{"12345678901234567", "-9999999999999999999", "9007199254740993"} {
+			checkScanFloat(t, []byte(fmt.Sprintf("%se%d", man, e)))
+		}
+	}
+}
+
+// TestPowersOfTenTable pins rows of the lazily built table to the
+// values strconv's own table lists for them.
+func TestPowersOfTenTable(t *testing.T) {
+	pow10Once.Do(buildPowersOfTen)
+	for _, tc := range []struct {
+		e      int
+		lo, hi uint64
+	}{
+		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
+		{0, 0, 0x8000000000000000},
+		{43, 0x6D9CCD05D0000000, 0xE596B7B0C643C719},
+		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
+	} {
+		if got := powersOfTen[tc.e-pow10MinExp10]; got != [2]uint64{tc.lo, tc.hi} {
+			t.Errorf("1e%d: {%#x, %#x}, want {%#x, %#x}", tc.e, got[0], got[1], tc.lo, tc.hi)
+		}
+	}
+}
+
+// FuzzScanFloat is the differential check on the float path: a
+// claimed literal ends where the JSON grammar ends and is bitwise
+// strconv.ParseFloat's value.
+func FuzzScanFloat(f *testing.F) {
+	for _, lit := range floatEdgeLiterals() {
+		f.Add([]byte(lit))
+	}
+	f.Fuzz(checkScanFloat)
+}
+
+// benchPredictBody and benchAppendBody build request bodies as the
+// serve workloads of perfbench do: data.GenerateSparse rows over 4000
+// columns (values 0.5+U[0,1)), json.Marshal'd. The predict body holds
+// 128 examples of ~40 nonzeros, the append body 1000 rows of ~12.
+func benchPredictBody(tb testing.TB) []byte {
+	ds := data.GenerateSparse(data.SparseConfig{Name: "bench-predict", Rows: 128, Cols: 4000, NNZPerRow: 40, Seed: 2})
+	req := predictRequest{Model: "job-1"}
+	for i := 0; i < ds.Rows(); i++ {
+		idx, vals := ds.A.Row(i)
+		req.Examples = append(req.Examples, exampleJSON{Indices: idx, Values: vals})
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+func benchAppendBody(tb testing.TB) []byte {
+	ds := data.GenerateSparse(data.SparseConfig{Name: "bench-append", Rows: 1000, Cols: 4000, NNZPerRow: 12, Noise: 0.05, Seed: 1})
+	req := appendRequest{Cols: ds.Cols()}
+	for i := 0; i < ds.Rows(); i++ {
+		idx, vals := ds.A.Row(i)
+		req.Rows = append(req.Rows, appendRowJSON{Indices: idx, Values: vals, Label: ds.Labels[i]})
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodePredictAllocs pins the scanner's allocations on a
+// bench-shaped body: the float path allocates nothing of its own.
+func TestDecodePredictAllocs(t *testing.T) {
+	body := benchPredictBody(t)
+	got, ok := decodePredict(body)
+	var want predictRequest
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanner (ok %v) and encoding/json disagree on the bench body", ok)
+	}
+	const maxAllocs = 13
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, ok := decodePredict(body); !ok {
+			t.Fatal("scanner refused the bench body")
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("decodePredict: %v allocations on a %d-byte body, want at most %d", allocs, len(body), maxAllocs)
+	}
+}
+
+var decodeSink int
+
+func BenchmarkDecodePredict(b *testing.B) {
+	body := benchPredictBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, ok := decodePredict(body)
+		if !ok {
+			b.Fatal("scanner refused the bench body")
+		}
+		decodeSink += len(req.Examples)
+	}
+}
+
+func BenchmarkDecodeAppend(b *testing.B) {
+	body := benchAppendBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, ok := decodeAppend(body)
+		if !ok {
+			b.Fatal("scanner refused the bench body")
+		}
+		decodeSink += len(req.Rows)
 	}
 }

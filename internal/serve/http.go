@@ -30,8 +30,8 @@ type Server struct {
 	// The map is built at construction and read-only afterwards, so
 	// concurrent lookups need no lock.
 	latency map[string]*metrics.Histogram
-	// stages splits POST /v1/predict into its decode, score and encode
-	// stages (see handlePredict).
+	// stages splits POST /v1/predict into its read, decode, score and
+	// encode stages (see handlePredict).
 	stages [numPredictStages]metrics.Histogram
 	// maxBody caps every request body (Options.MaxBodyBytes, already
 	// normalized); <= 0 disables the cap.
@@ -299,30 +299,43 @@ type predictResponse struct {
 	Count       int       `json:"count"`
 }
 
-// Predict stages, in request order: reading and decoding the body
-// (through building the model examples), scoring in the registry, and
-// encoding and writing the reply. Each is timed into its own histogram
-// on every request that reaches it.
+// Predict stages, in request order: reading the body off the socket,
+// decoding it (through building the model examples), scoring in the
+// registry, and encoding and writing the reply. Each is timed into its
+// own histogram on every request that reaches it.
 const (
-	stageDecode = iota
+	stageRead = iota
+	stageDecode
 	stageScore
 	stageEncode
 	numPredictStages
 )
 
-var predictStageNames = [numPredictStages]string{"decode", "score", "encode"}
+var predictStageNames = [numPredictStages]string{"read", "decode", "score", "encode"}
+
+// stageClock times consecutive predict stages with one clock read per
+// stage boundary.
+type stageClock struct {
+	stages *[numPredictStages]metrics.Histogram
+	last   time.Time
+}
+
+// lap observes the time since the previous lap into stage.
+func (c *stageClock) lap(stage int) {
+	now := time.Now()
+	c.stages[stage].Observe(now.Sub(c.last))
+	c.last = now
+}
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	examples, id, ok := s.predictExamples(w, r)
-	t1 := time.Now()
-	s.stages[stageDecode].Observe(t1.Sub(t0))
+	clock := stageClock{&s.stages, time.Now()}
+	examples, id, ok := s.predictExamples(w, r, &clock)
+	clock.lap(stageDecode)
 	if !ok {
 		return
 	}
 	preds, err := s.sched.Models().Predict(id, examples)
-	t2 := time.Now()
-	s.stages[stageScore].Observe(t2.Sub(t1))
+	clock.lap(stageScore)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, ErrUnknownModel) {
@@ -334,13 +347,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.writeJSON(w, http.StatusOK, predictResponse{Model: id, Predictions: preds, Count: len(preds)}) {
 		s.counters.PredictRequest(len(preds))
 	}
-	s.stages[stageEncode].Observe(time.Since(t2))
+	clock.lap(stageEncode)
 }
 
 // predictExamples decodes a predict body into the model id and its
-// examples; false means the error response has been written.
-func (s *Server) predictExamples(w http.ResponseWriter, r *http.Request) ([]model.Example, string, bool) {
-	req, ok := decodeBody(s, w, r, "predict", decodePredict)
+// examples, lapping clock once the body is read; false means the
+// error response has been written.
+func (s *Server) predictExamples(w http.ResponseWriter, r *http.Request, clock *stageClock) ([]model.Example, string, bool) {
+	req, ok := decodeBody(s, w, r, "predict", decodePredict, clock)
 	if !ok {
 		return nil, "", false
 	}
@@ -405,7 +419,7 @@ func parseTask(name string) (data.Task, error) {
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	req, ok := decodeBody(s, w, r, "append", decodeAppend)
+	req, ok := decodeBody(s, w, r, "append", decodeAppend, nil)
 	if !ok {
 		return
 	}
@@ -483,7 +497,7 @@ type statsResponse struct {
 	// route's count equals the requests issued against it.
 	Latency map[string]metrics.HistogramSnapshot `json:"latency"`
 	// PredictStages splits POST /v1/predict's handler latency into its
-	// decode, score and encode stages.
+	// read, decode, score and encode stages.
 	PredictStages map[string]metrics.HistogramSnapshot `json:"predict_stages"`
 	// Optimizer summarises the self-tuning optimizer's feedback store
 	// (keys, observations, explorations); omitted when the feedback loop

@@ -163,7 +163,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("route=%q", promEscape(pattern)), s.latency[pattern].Export())
 	}
 
-	p.family("dimmwitted_predict_stage_seconds", "POST /v1/predict latency by stage: body read and decode, scoring, reply encode and write.", "histogram")
+	p.family("dimmwitted_predict_stage_seconds", "POST /v1/predict latency by stage: body read, body decode, scoring, reply encode and write.", "histogram")
 	for i, name := range predictStageNames {
 		p.histogram("dimmwitted_predict_stage_seconds", fmt.Sprintf("stage=%q", name), s.stages[i].Export())
 	}

@@ -307,10 +307,10 @@ func TestPredictStageHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, body := range []string{
-		`{"model":"m","examples":[{"indices":[1],"values":[1]}]}`, // all three stages
-		`{"model":"m","examples":[{"dense":[1,1]}]}`,              // all three stages
-		`{"model":"gone","examples":[{"dense":[1]}]}`,             // decode and score
-		`{"model":"m","examples":[`,                               // decode only
+		`{"model":"m","examples":[{"indices":[1],"values":[1]}]}`, // all four stages
+		`{"model":"m","examples":[{"dense":[1,1]}]}`,              // all four stages
+		`{"model":"gone","examples":[{"dense":[1]}]}`,             // read, decode and score
+		`{"model":"m","examples":[`,                               // read and decode
 	} {
 		resp, err := client.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -319,7 +319,7 @@ func TestPredictStageHistograms(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	want := map[string]int64{"decode": 4, "score": 3, "encode": 2}
+	want := map[string]int64{"read": 4, "decode": 4, "score": 3, "encode": 2}
 
 	var stats statsResponse
 	if code := doJSON(t, client, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
