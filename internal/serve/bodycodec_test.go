@@ -605,9 +605,9 @@ func TestHTTPPredictReadsWholeBody(t *testing.T) {
 // grammar and of each rounding path: signed zeros, the subnormal and
 // normal bounds, the largest finite value and the first past it,
 // halfway cases, mantissas of 19, 20, 54 and 800 digits with and
-// without nonzero digits past the 19th, leading fraction zeros, the
-// exact path's exponent bounds, out of range and overlong exponents,
-// and malformed literals.
+// without nonzero digits past the 19th, leading fraction zeros (which
+// count toward the 19), the largest exact powers of ten, out of range
+// and overlong exponents, and malformed literals.
 func floatEdgeLiterals() []string {
 	zeros := func(n int) string { return strings.Repeat("0", n) }
 	return []string{
@@ -624,7 +624,7 @@ func floatEdgeLiterals() []string {
 		"1.00000000000000011102230246251565404236316680908203126",
 		"100000000000000011102230246251565404236316680908203126e-53",
 		"1" + zeros(799), "1" + zeros(799) + "e-790", "1" + zeros(798) + "1e-790",
-		"0." + zeros(799) + "1", "0." + zeros(30) + "1e40", "0.1" + zeros(798) + "1",
+		"0." + zeros(799) + "1", "0." + zeros(30) + "1e40", "0.000000000012345678901234567", "0.0000000000123456789", "0.1" + zeros(798) + "1",
 		"1e-400", "1e400", "-1e400", "1e99999999999", "1e-99999999999", "1e00000000000000000022",
 		"1e-22", "1e22", "1e23", "1e-23", "8.41e21", "123456789012345e22",
 		"1E5", "1e+5", "1e-5", "1.5E-5", "1.5.3", "01", "-01", "1]", " \t\r\n0.5,",
@@ -681,10 +681,10 @@ func TestScanFloatEdges(t *testing.T) {
 	} {
 		checkScanFloat(t, []byte(lit))
 	}
-	// One literal per power-of-ten table row, with mantissas past 2^53
-	// so that none takes the exact path.
+	// Literals on every power-of-ten table row, with one-digit,
+	// 17-digit and 19-digit mantissas and one just past 2^53.
 	for e := pow10MinExp10; e <= pow10MaxExp10; e++ {
-		for _, man := range []string{"12345678901234567", "-9999999999999999999", "9007199254740993"} {
+		for _, man := range []string{"5", "12345678901234567", "-9999999999999999999", "9007199254740993"} {
 			checkScanFloat(t, []byte(fmt.Sprintf("%se%d", man, e)))
 		}
 	}

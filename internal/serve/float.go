@@ -11,13 +11,12 @@ import (
 
 // Float literals are read once: the loop that checks the JSON number
 // grammar also builds the decimal mantissa and exponent, and the value
-// is then rounded in strconv.ParseFloat's order — Clinger's exact
-// path, then Eisel–Lemire (D. Lemire, "Number Parsing at a Gigabyte
-// per Second", Software: Practice and Experience, 2021;
-// https://nigeltao.github.io/blog/2020/eisel-lemire.html) — with
-// strconv.ParseFloat itself as the fallback whenever neither can
-// decide. Every path is correctly rounded, so every value is bitwise
-// what strconv.ParseFloat, and so encoding/json, returns.
+// is then rounded by Eisel–Lemire (D. Lemire, "Number Parsing at a
+// Gigabyte per Second", Software: Practice and Experience, 2021;
+// https://nigeltao.github.io/blog/2020/eisel-lemire.html), with
+// strconv.ParseFloat itself as the fallback whenever it cannot decide.
+// Both are correctly rounded, so every value is bitwise what
+// strconv.ParseFloat, and so encoding/json, returns.
 
 // float parses a JSON number literal. A literal strconv.ParseFloat
 // rejects as out of range is not canonical.
@@ -29,9 +28,9 @@ func (s *scanner) float() (float64, bool) {
 	if neg {
 		i++
 	}
-	// man holds the first 19 significant digits (10^19 < 2^64) and nd
-	// counts them; man·10^exp is the literal up to those digits, and
-	// trunc records a nonzero digit after them.
+	// man holds the first 19 digits after a leading 0 (10^19 < 2^64)
+	// and nd counts them; man·10^exp is the literal up to those digits,
+	// and trunc records a nonzero digit after them.
 	var man uint64
 	nd, exp, trunc := 0, 0, false
 	switch {
@@ -52,18 +51,11 @@ func (s *scanner) float() (float64, bool) {
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
-		first := i
-		if man == 0 {
-			// Leading zeros (0.000…) count only in the exponent.
-			for i < len(b) && b[i] == '0' {
-				i++
-			}
-		}
-		mant, end := i, min(len(b), i+19-nd)
+		first, end := i, min(len(b), i+19-nd)
 		for ; i < end && b[i]-'0' < 10; i++ {
 			man = man*10 + uint64(b[i]-'0')
 		}
-		nd += i - mant
+		nd += i - first
 		exp -= i - first
 		for ; i < len(b) && b[i]-'0' < 10; i++ {
 			trunc = trunc || b[i] != '0'
@@ -97,31 +89,12 @@ func (s *scanner) float() (float64, bool) {
 	}
 	s.i = i
 	if !trunc {
-		if man>>53 == 0 && -22 <= exp && exp <= 22 {
-			// Clinger: man and 10^|exp| are exact float64s, so one
-			// correctly rounded multiply or divide gives the value.
-			f := float64(man)
-			if neg {
-				f = -f
-			}
-			if exp < 0 {
-				return f / float64pow10[-exp], true
-			}
-			return f * float64pow10[exp], true
-		}
 		if f, ok := eiselLemire64(man, exp, neg); ok {
 			return f, true
 		}
 	}
 	f, err := strconv.ParseFloat(string(b[start:i]), 64)
 	return f, err == nil
-}
-
-// float64pow10 holds the powers of ten a float64 represents exactly.
-var float64pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
-	1e20, 1e21, 1e22,
 }
 
 // eiselLemire64 returns man·10^exp10 correctly rounded, or false when
