@@ -6,21 +6,12 @@
 //	dwbench -fig 8b     # just Figure 8(b)
 //	dwbench -quick      # everything, reduced grids
 //	dwbench -list       # available figure ids
-//	dwbench -executors  # wall-clock simulated-vs-parallel comparison
-//	dwbench -executors -out BENCH_parallel.json
-//	dwbench -gibbs      # sampling-throughput simulated-vs-parallel comparison
-//	dwbench -gibbs -out BENCH_gibbs.json
-//	dwbench -executors -min-speedup 1.0   # exit 1 if parallel loses anywhere
-//	dwbench -trace      # traced pairs: step vs flush vs barrier breakdown
-//	dwbench -trace -quick -out BENCH_trace.json
-//	dwbench -feedback   # static first run vs feedback-corrected second run
-//	dwbench -feedback -min-speedup 1.0 -out BENCH_optimizer.json
-//	dwbench -stream     # chunked append throughput + online publish latency
-//	dwbench -stream -quick -out BENCH_stream.json
+//
+// Wall-clock measurement of the engine and the server lives in
+// perfbench (bash perfbench/run.sh), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,63 +23,12 @@ func main() {
 	fig := flag.String("fig", "", "figure id to run (e.g. 7a, 11, appA); empty = all")
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
 	list := flag.Bool("list", false, "list available figure ids")
-	executors := flag.Bool("executors", false, "compare wall-clock epoch times of the simulated and parallel executors")
-	gibbs := flag.Bool("gibbs", false, "compare Gibbs sampling throughput of the simulated and parallel executors")
-	traceRuns := flag.Bool("trace", false, "run traced sim-vs-parallel pairs and print the step-vs-flush-vs-barrier phase breakdown")
-	feedback := flag.Bool("feedback", false, "run the self-tuning optimizer benchmark: static first run vs feedback-corrected second run")
-	stream := flag.Bool("stream", false, "run the streaming-ingestion benchmark: chunked append throughput and online publication latency")
-	minSpeedup := flag.Float64("min-speedup", 0, "with -executors, -gibbs or -feedback, exit non-zero if any speedup falls below this ratio (0 = report only)")
-	out := flag.String("out", "", "with -executors, -gibbs, -trace, -feedback or -stream, also write the measurements as JSON to this file")
 	flag.Parse()
 
 	if *list {
 		for _, e := range experiments.Registry() {
 			fmt.Println(e.Name)
 		}
-		return
-	}
-
-	if *executors {
-		entries := experiments.ExecWallEntries(*quick)
-		experiments.ExecWallResult(entries).Table.Fprint(os.Stdout)
-		writeJSON(*out, entries)
-		gate(experiments.ExecSpeedups(entries), *minSpeedup)
-		return
-	}
-
-	if *gibbs {
-		entries := experiments.GibbsWallEntries(*quick)
-		experiments.GibbsWallResult(entries).Table.Fprint(os.Stdout)
-		writeJSON(*out, entries)
-		gate(experiments.GibbsSpeedups(entries), *minSpeedup)
-		return
-	}
-
-	if *feedback {
-		entries := experiments.FeedbackEntries(*quick)
-		experiments.FeedbackResult(entries).Table.Fprint(os.Stdout)
-		writeJSON(*out, entries)
-		gate(experiments.FeedbackSpeedups(entries), *minSpeedup)
-		return
-	}
-
-	if *stream {
-		entries := experiments.StreamEntries(*quick)
-		experiments.StreamResult(entries).Table.Fprint(os.Stdout)
-		writeJSON(*out, entries)
-		for _, e := range entries {
-			if e.Error != "" {
-				fmt.Fprintf(os.Stderr, "dwbench: stream %s: %s\n", e.Task, e.Error)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *traceRuns {
-		entries := experiments.TraceEntries(*quick)
-		experiments.TraceResult(entries).Table.Fprint(os.Stdout)
-		writeJSON(*out, entries)
 		return
 	}
 
@@ -109,41 +49,4 @@ func main() {
 	for _, e := range experiments.Registry() {
 		e.Driver(*quick).Table.Fprint(os.Stdout)
 	}
-}
-
-// gate prints the parallel-vs-simulated speedup per task and, when a
-// positive -min-speedup threshold is set, exits non-zero if any task
-// falls below it — the CI regression gate for "the parallel executor
-// must win".
-func gate(rows []experiments.SpeedupRow, min float64) {
-	fail := false
-	for _, r := range rows {
-		status := ""
-		if min > 0 && r.Speedup < min {
-			status = "  BELOW THRESHOLD"
-			fail = true
-		}
-		fmt.Printf("speedup %-24s %7.2fx  (simulated %.4g, parallel %.4g %s)%s\n",
-			r.Task, r.Speedup, r.Simulated, r.Parallel, r.Metric, status)
-	}
-	if fail {
-		fmt.Fprintf(os.Stderr, "dwbench: parallel executor below the %.2fx speedup threshold\n", min)
-		os.Exit(1)
-	}
-}
-
-// writeJSON persists measurement entries when -out is set.
-func writeJSON(path string, entries any) {
-	if path == "" {
-		return
-	}
-	buf, err := json.MarshalIndent(entries, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, buf, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dwbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
 }

@@ -19,23 +19,16 @@ import (
 //	[n:+4] uint32 IEEE CRC-32 of bytes [0:n]
 //
 // Versioning rules (see DESIGN.md "Durability"): the magic and version
-// header never change; a layout change bumps the version, the decoder
-// accepts every version it has code for and rejects the rest by name,
-// and new fields are appended to the payload behind a version check so
-// older snapshots keep decoding. The CRC covers header and payload, so
-// torn or bit-rotted files fail loudly instead of restoring garbage.
+// header never change; a layout change bumps the version, and the
+// decoder reads exactly the current version and rejects every other
+// one by number. The CRC covers header and payload, so torn or
+// bit-rotted files fail loudly instead of restoring garbage.
 
 // snapMagic identifies a serialized snapshot.
 const snapMagic = "dwsnap"
 
-// snapVersion is the current codec version. Version history:
-//
-//	1  initial layout
-//	2  appends Plan.StealChunk (i64) after the replica states
-//	3  appends DataRows (i64) and DataVersion (u64) — the streamed-
-//	   dataset ingest high-water mark — after the version-2 fields
-//	4  appends Plan.FixedOrder (u8) — the cluster coordinator's
-//	   deterministic-traversal knob — after the version-3 fields
+// snapVersion is the codec version this build writes and the only one
+// it reads. Versions 1–3 were development layouts, never released.
 const snapVersion = 4
 
 // maxSnapshotSlice caps decoded slice lengths (model vectors, replica
@@ -235,9 +228,6 @@ func EncodeSnapshot(s Snapshot) []byte {
 	for _, blob := range s.Priv {
 		e.bytes(blob)
 	}
-
-	// Versioned fields append after the complete version-1 payload, so
-	// older files — which simply end earlier — keep decoding.
 	e.i64(int64(p.StealChunk))
 	e.i64(int64(s.DataRows))
 	e.u64(s.DataVersion)
@@ -252,9 +242,9 @@ func EncodeSnapshot(s Snapshot) []byte {
 }
 
 // DecodeSnapshot parses a serialized snapshot, verifying the magic,
-// version and CRC. It accepts every codec version the current build
-// understands and rejects the rest, so a newer writer's files fail
-// loudly instead of restoring a misread state.
+// version and CRC. It reads only the current codec version, so a file
+// written by any other layout fails loudly instead of restoring a
+// misread state.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	var s Snapshot
 	if len(data) < len(snapMagic)+2+4 {
@@ -270,8 +260,8 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 
 	d := &decBuf{b: body, off: len(snapMagic)}
 	ver := d.u16()
-	if ver < 1 || ver > snapVersion {
-		return s, fmt.Errorf("core: snapshot decode: version %d, this build reads versions 1 through %d", ver, snapVersion)
+	if ver != snapVersion {
+		return s, fmt.Errorf("core: snapshot decode: version %d, this build reads version %d", ver, snapVersion)
 	}
 
 	s.Workload = WorkloadKind(d.u8())
@@ -331,23 +321,10 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 			s.Priv[i] = append([]byte(nil), d.take(m)...)
 		}
 	}
-
-	if ver >= 2 {
-		s.Plan.StealChunk = int(d.i64())
-	}
-	// Version-1 files predate StealChunk; the zero value renormalizes to
-	// the default when the restored plan goes back through NewWorkload.
-	if ver >= 3 {
-		s.DataRows = int(d.i64())
-		s.DataVersion = d.u64()
-	}
-	// Pre-streaming files leave the high-water mark zero: resume trains
-	// on the dataset's current view, exactly as it always did.
-	if ver >= 4 {
-		s.Plan.FixedOrder = d.u8() != 0
-	}
-	// Pre-cluster files predate FixedOrder; false restores the default
-	// randomized traversal those snapshots were trained with.
+	s.Plan.StealChunk = int(d.i64())
+	s.DataRows = int(d.i64())
+	s.DataVersion = d.u64()
+	s.Plan.FixedOrder = d.u8() != 0
 
 	if d.err != nil {
 		return Snapshot{}, d.err

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"strings"
@@ -148,93 +149,34 @@ func TestSnapshotCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotCodecRejectsNewerVersion: every version but the current
+// one is refused with an error naming both versions. Each input carries
+// a valid CRC, so the refusal comes from the version check, not the
+// checksum. The unreleased layouts 1–3 are stamped both on the current
+// bytes and on the current bytes cut to their own, shorter, lengths.
 func TestSnapshotCodecRejectsNewerVersion(t *testing.T) {
-	data := EncodeSnapshot(testSnapshot())
-	// Stamp a future version with a valid CRC: the decoder must reject
-	// it by version, not by checksum.
-	binary.LittleEndian.PutUint16(data[6:], snapVersion+1)
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-	_, err := DecodeSnapshot(data)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("want version error, got %v", err)
+	good := EncodeSnapshot(testSnapshot())
+	// Each development layout ended earlier: v1 before StealChunk,
+	// DataRows, DataVersion and FixedOrder (29 bytes with the CRC), v2
+	// before the ingest fields and FixedOrder (21), v3 before FixedOrder
+	// (5).
+	cases := []struct {
+		ver uint16
+		cut int
+	}{
+		{0, 4}, {1, 4}, {1, 29}, {2, 4}, {2, 21}, {3, 4}, {3, 5},
+		{snapVersion + 1, 4}, {0xFFFF, 4},
 	}
-}
-
-// TestSnapshotCodecReadsVersion1 pins backward compatibility: a
-// version-1 file is the current encoding minus the appended tails —
-// v2's StealChunk, v3's DataRows/DataVersion, and v4's FixedOrder —
-// and must decode with those fields zero (StealChunk renormalizes to
-// the default when the plan goes back through an engine).
-func TestSnapshotCodecReadsVersion1(t *testing.T) {
-	s := testSnapshot()
-	s.Plan.StealChunk = 7
-	data := EncodeSnapshot(s)
-	// Drop the appended tails (8-byte StealChunk + 8-byte DataRows +
-	// 8-byte DataVersion + 1-byte FixedOrder before the 4-byte CRC),
-	// restamp version 1 and recompute the CRC.
-	v1 := append([]byte(nil), data[:len(data)-29]...)
-	binary.LittleEndian.PutUint16(v1[6:], 1)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
-
-	back, err := DecodeSnapshot(v1)
-	if err != nil {
-		t.Fatalf("version-1 decode: %v", err)
+	for _, c := range cases {
+		data := append([]byte(nil), good[:len(good)-c.cut]...)
+		binary.LittleEndian.PutUint16(data[6:], c.ver)
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
+		_, err := DecodeSnapshot(data)
+		want := fmt.Sprintf("version %d, this build reads version %d", c.ver, snapVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d cut %d: want error %q, got %v", c.ver, c.cut, want, err)
+		}
 	}
-	if back.Plan.StealChunk != 0 {
-		t.Errorf("version-1 steal chunk = %d, want 0", back.Plan.StealChunk)
-	}
-	s.Plan.StealChunk = 0
-	s.Plan.FixedOrder = false
-	s.DataRows, s.DataVersion = 0, 0
-	snapshotsEqual(t, s, back)
-}
-
-// TestSnapshotCodecReadsVersion2 pins the next seam: a version-2 file
-// (everything through StealChunk, no ingest fields, no FixedOrder)
-// must decode with DataRows, DataVersion, and FixedOrder zero.
-func TestSnapshotCodecReadsVersion2(t *testing.T) {
-	s := testSnapshot()
-	data := EncodeSnapshot(s)
-	// Drop the v3+v4 tail (8-byte DataRows + 8-byte DataVersion +
-	// 1-byte FixedOrder before the 4-byte CRC), restamp version 2 and
-	// recompute the CRC.
-	v2 := append([]byte(nil), data[:len(data)-21]...)
-	binary.LittleEndian.PutUint16(v2[6:], 2)
-	v2 = binary.LittleEndian.AppendUint32(v2, crc32.ChecksumIEEE(v2))
-
-	back, err := DecodeSnapshot(v2)
-	if err != nil {
-		t.Fatalf("version-2 decode: %v", err)
-	}
-	if back.DataRows != 0 || back.DataVersion != 0 {
-		t.Errorf("version-2 ingest fields = %d/%d, want 0/0", back.DataRows, back.DataVersion)
-	}
-	s.DataRows, s.DataVersion = 0, 0
-	s.Plan.FixedOrder = false
-	snapshotsEqual(t, s, back)
-}
-
-// TestSnapshotCodecReadsVersion3 pins the newest seam: a version-3
-// file (everything through DataVersion, no FixedOrder byte) must
-// decode with FixedOrder false.
-func TestSnapshotCodecReadsVersion3(t *testing.T) {
-	s := testSnapshot()
-	data := EncodeSnapshot(s)
-	// Drop the v4 tail (1-byte FixedOrder before the 4-byte CRC),
-	// restamp version 3 and recompute the CRC.
-	v3 := append([]byte(nil), data[:len(data)-5]...)
-	binary.LittleEndian.PutUint16(v3[6:], 3)
-	v3 = binary.LittleEndian.AppendUint32(v3, crc32.ChecksumIEEE(v3))
-
-	back, err := DecodeSnapshot(v3)
-	if err != nil {
-		t.Fatalf("version-3 decode: %v", err)
-	}
-	if back.Plan.FixedOrder {
-		t.Errorf("version-3 fixed order = true, want false")
-	}
-	s.Plan.FixedOrder = false
-	snapshotsEqual(t, s, back)
 }
 
 func TestSnapshotCodecRejectsLyingLengths(t *testing.T) {

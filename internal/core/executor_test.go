@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,58 @@ func TestExecutorParity(t *testing.T) {
 				t.Errorf("%s/%v: executors disagree: sim %v vs parallel %v (rel %.3f)",
 					task.spec.Name(), rep, simLoss, parLoss, rel)
 			}
+		}
+	}
+}
+
+// execWallTask is one model and dataset the executors are compared on.
+type execWallTask struct {
+	spec model.Spec
+	ds   *data.Dataset
+}
+
+// execWallTasks are the inputs the executors are compared on at
+// benchmark scale: the sparse text tasks on replicated Reuters and
+// least squares on replicated Music, large enough that an epoch's step
+// work dominates the parallel backend's orchestration (pool wakeup,
+// steal cursors, barrier).
+func execWallTasks() []execWallTask {
+	return []execWallTask{
+		{model.NewSVM(), data.ReutersReplicated()},
+		{model.NewLR(), data.ReutersReplicated()},
+		{model.NewLS(), data.MusicRegressionReplicated()},
+	}
+}
+
+// execWallRun runs epochs of the optimizer's Local2 plan for exec and
+// returns the final loss and the wall time per epoch. The clock starts
+// after a forced GC, so no earlier test's garbage is collected on it.
+func execWallRun(t *testing.T, spec model.Spec, ds *data.Dataset, exec ExecutorKind, epochs int) (float64, time.Duration) {
+	t.Helper()
+	plan, err := ChooseExecutor(spec, ds, numa.Local2, exec)
+	if err != nil {
+		t.Fatalf("%s/%v: %v", spec.Name(), exec, err)
+	}
+	e := mustEngine(t, spec, ds, plan)
+	defer e.Close()
+	runtime.GC()
+	start := time.Now()
+	res := e.RunToLoss(0, epochs)
+	return res.FinalLoss, time.Since(start) / time.Duration(res.Epochs)
+}
+
+// TestExecWallParity is TestExecutorParity at benchmark scale and with
+// the optimizer's own plans: after the same two epochs, both backends
+// land within 25% of each other's loss.
+func TestExecWallParity(t *testing.T) {
+	for _, task := range execWallTasks() {
+		sim, _ := execWallRun(t, task.spec, task.ds, ExecSimulated, 2)
+		par, wall := execWallRun(t, task.spec, task.ds, ExecParallel, 2)
+		if rel := math.Abs(sim-par) / math.Abs(sim); rel > 0.25 {
+			t.Errorf("%s: executors disagree after identical epochs: sim %v vs parallel %v", task.spec.Name(), sim, par)
+		}
+		if wall <= 0 {
+			t.Errorf("%s: parallel run reported no wall time", task.spec.Name())
 		}
 	}
 }

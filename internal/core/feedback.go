@@ -16,28 +16,18 @@ type CostModel interface {
 	MeasuredSeconds(p Plan) (seconds float64, ok bool)
 }
 
-// CandidateCost is the optimizer's view of one candidate plan inside a
-// decision: its static rank (0 is the prior's winner; the word-cost
-// model has no opinion between replication variants beyond its rules
-// of thumb, so rank is enumeration order) and its measured cost when
-// the feedback store has one.
-type CandidateCost struct {
-	// Plan is the normalized candidate.
-	Plan Plan
-	// StaticRank orders candidates under the prior; 0 is the static
-	// optimizer's own pick.
-	StaticRank int
-	// MeasuredSeconds is the feedback EWMA of seconds-per-epoch;
-	// meaningful only when Measured is true.
+// candidateCost is the optimizer's view of one candidate plan inside a
+// decision: the normalized plan and its measured cost when the
+// feedback store has one (MeasuredSeconds is the EWMA of
+// seconds-per-epoch, meaningful only when Measured is true).
+type candidateCost struct {
+	Plan            Plan
 	MeasuredSeconds float64
-	// Measured reports whether the cost model had crossed its
-	// observation threshold for this plan.
-	Measured bool
+	Measured        bool
 }
 
 // PlanDecision is ChoosePlanModel's result: the chosen plan, how it
-// was chosen, and the full candidate table for decision diagnostics
-// (job status, dwbench -feedback's decision artifact).
+// was chosen, and the exploration target.
 type PlanDecision struct {
 	// Plan is the winner.
 	Plan Plan
@@ -53,8 +43,6 @@ type PlanDecision struct {
 	// candidate eventually crosses the observation threshold. Nil when
 	// the decision has a single candidate.
 	RunnerUp *Plan
-	// Candidates is the full table, static-rank order.
-	Candidates []CandidateCost
 }
 
 // planSourceStatic and planSourceMeasured are the PlanDecision.Source
@@ -152,10 +140,11 @@ func ChoosePlanModel(wl Workload, top numa.Topology, exec ExecutorKind, cm CostM
 	if err != nil {
 		return PlanDecision{}, err
 	}
-	dec := PlanDecision{Source: planSourceStatic, Candidates: make([]CandidateCost, len(cands))}
+	dec := PlanDecision{Source: planSourceStatic}
+	costs := make([]candidateCost, len(cands))
 	bestMeasured, bestSeconds := -1, 0.0
 	for i, p := range cands {
-		cc := CandidateCost{Plan: p, StaticRank: i}
+		cc := candidateCost{Plan: p}
 		if cm != nil {
 			if sec, ok := cm.MeasuredSeconds(p); ok {
 				cc.MeasuredSeconds, cc.Measured = sec, true
@@ -164,7 +153,7 @@ func ChoosePlanModel(wl Workload, top numa.Topology, exec ExecutorKind, cm CostM
 				}
 			}
 		}
-		dec.Candidates[i] = cc
+		costs[i] = cc
 	}
 	win := 0
 	if bestMeasured >= 0 {
@@ -173,7 +162,7 @@ func ChoosePlanModel(wl Workload, top numa.Topology, exec ExecutorKind, cm CostM
 		dec.PredictedSeconds = bestSeconds
 	}
 	dec.Plan = cands[win]
-	dec.RunnerUp = runnerUp(dec.Candidates, win)
+	dec.RunnerUp = runnerUp(costs, win)
 	return dec, nil
 }
 
@@ -182,7 +171,7 @@ func ChoosePlanModel(wl Workload, top numa.Topology, exec ExecutorKind, cm CostM
 // can never cross the threshold), else the cheapest measured one
 // (staleness-busting — re-measuring the closest rival is what lets a
 // drifted winner be dethroned).
-func runnerUp(cands []CandidateCost, win int) *Plan {
+func runnerUp(cands []candidateCost, win int) *Plan {
 	var bestMeasured *Plan
 	bestSeconds := 0.0
 	for i := range cands {

@@ -1,9 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section 4, Section 5, Appendices A and C). Each
 // driver returns a Result holding a printable paper-style table plus a
-// metric map that the benchmark harness asserts shapes against.
-// cmd/dwbench prints the tables; bench_test.go runs the same drivers
-// under testing.B.
+// metric map that experiments_test.go asserts shapes against.
+// cmd/dwbench prints the tables.
 //
 // Absolute values are simulated-clock seconds (see DESIGN.md); the
 // comparisons the paper draws — who wins, by what factor, where
@@ -84,8 +83,7 @@ type Result struct {
 }
 
 // Driver runs one experiment. quick trades sweep breadth for speed
-// (used by the benchmark harness); the full run matches the paper's
-// grid.
+// (used by the tests); the full run matches the paper's grid.
 type Driver func(quick bool) *Result
 
 // Registry maps figure ids to drivers, in paper order.
@@ -118,7 +116,6 @@ func Registry() []struct {
 		{"fig21", Fig21},
 		{"fig22", Fig22},
 		{"appA", AppA},
-		{"execwall", ExecWall},
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -29,7 +28,7 @@ func run(t *testing.T, name string) *Result {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig6", "fig7a", "fig7b", "fig8a", "fig8b", "fig9a", "fig9b",
 		"fig11", "fig12a", "fig12b", "fig13", "fig14", "fig15", "fig16a", "fig16b",
-		"fig17a", "fig17b", "fig20", "fig21", "fig22", "appA", "execwall"}
+		"fig17a", "fig17b", "fig20", "fig21", "fig22", "appA"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -323,47 +322,5 @@ func TestAppAMicroStudies(t *testing.T) {
 	}
 	if res.Metrics["sparseOnSparse"] <= 1 {
 		t.Errorf("sparse storage on sparse data speedup = %v, want > 1", res.Metrics["sparseOnSparse"])
-	}
-}
-
-func TestExecWallParity(t *testing.T) {
-	res := run(t, "execwall")
-	for _, m := range []string{"svm", "lr", "ls"} {
-		sim, okSim := res.Metrics[m+"_simulated_loss"]
-		par, okPar := res.Metrics[m+"_parallel_loss"]
-		if !okSim || !okPar {
-			t.Fatalf("%s: missing executor losses in %v", m, res.Metrics)
-		}
-		rel := math.Abs(sim-par) / math.Abs(sim)
-		if rel > 0.25 {
-			t.Errorf("%s: executors disagree after identical epochs: sim %v vs parallel %v", m, sim, par)
-		}
-		if res.Metrics[m+"_parallel_wall_s"] <= 0 {
-			t.Errorf("%s: parallel run reported no wall time", m)
-		}
-	}
-}
-
-func TestStreamBench(t *testing.T) {
-	entries := StreamEntries(true)
-	if len(entries) == 0 {
-		t.Fatal("no stream entries")
-	}
-	res := StreamResult(entries)
-	if res.Table == nil || len(res.Table.Rows) != len(entries) {
-		t.Fatalf("stream table has %d rows for %d entries", len(res.Table.Rows), len(entries))
-	}
-	for _, e := range entries {
-		if e.Error != "" {
-			t.Fatalf("%s: %s", e.Task, e.Error)
-		}
-		if e.RowsPerSecond <= 0 || e.PublishMillis <= 0 {
-			t.Errorf("%s: degenerate measurements %+v", e.Task, e)
-		}
-		// One epoch per chunk on learnable labels must beat the
-		// zero-model loss (1.0 hinge / log 2 logistic).
-		if e.FinalLoss >= 0.9 {
-			t.Errorf("%s: final loss %v — the online pipeline did not learn", e.Task, e.FinalLoss)
-		}
 	}
 }

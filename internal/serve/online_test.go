@@ -91,7 +91,8 @@ func TestPromoteDecision(t *testing.T) {
 
 // TestShadowGateNeverPromotesRegression drives publishOnline directly:
 // after a good model goes live, a regressing candidate (and a diverged
-// one) must be rolled back, leaving the good model serving.
+// one) must be rolled back, leaving the good model serving; a candidate
+// published twice scores exactly the same loss both times.
 func TestShadowGateNeverPromotesRegression(t *testing.T) {
 	const cols = 8
 	s := newTestScheduler(t, Options{})
@@ -154,6 +155,27 @@ func TestShadowGateNeverPromotesRegression(t *testing.T) {
 		t.Fatalf("counters = evals %d promoted %d rolledback %d, want 3/1/2",
 			c.ShadowEvals, c.ModelsPromoted, c.ModelsRolledBack)
 	}
+
+	// The shadow eval is deterministic: one candidate published twice
+	// scores bitwise the same held-out loss both times.
+	cand := good
+	cand.X = make([]float64, cols)
+	for i := range cand.X {
+		cand.X[i] = float64(i+1) / 3
+		if i%2 == 1 {
+			cand.X[i] = -cand.X[i]
+		}
+	}
+	var losses [2]float64
+	for k := range losses {
+		if err := s.publishOnline(j, cand); err != nil {
+			t.Fatal(err)
+		}
+		losses[k] = j.online.candLoss
+	}
+	if math.IsNaN(losses[0]) || math.Float64bits(losses[0]) != math.Float64bits(losses[1]) {
+		t.Fatalf("one candidate scored %v, then %v", losses[0], losses[1])
+	}
 }
 
 // TestPlanKeyMissesAfterAppend: an append publishes a new dataset
@@ -207,8 +229,8 @@ func TestPlanKeyMissesAfterAppend(t *testing.T) {
 
 // TestOnlineJobTrainsAcrossAppends is the tentpole integration: a
 // running online job adopts three appended chunks without restarting,
-// publishes versioned models through the shadow gate, and reports its
-// streaming state.
+// publishes versioned models through the shadow gate, reports its
+// streaming state, and serves a model that beats the zero model.
 func TestOnlineJobTrainsAcrossAppends(t *testing.T) {
 	const cols = 20
 	s := newTestScheduler(t, Options{})
@@ -272,6 +294,11 @@ func TestOnlineJobTrainsAcrossAppends(t *testing.T) {
 	}
 	if len(snap.X) != cols {
 		t.Fatalf("served model dimension = %d, want %d", len(snap.X), cols)
+	}
+	// And it learned: on every appended row it beats the zero model.
+	spec := model.NewSVM()
+	if got, zero := spec.Loss(h.View(), snap.X), spec.Loss(h.View(), make([]float64, cols)); got >= zero {
+		t.Fatalf("served model loss %v is not below the zero model's %v", got, zero)
 	}
 }
 

@@ -29,7 +29,8 @@ type PhaseStat struct {
 //     worker window costs width×exec wall (width = concurrent pool
 //     lanes, or workers when each has its own goroutine), lanes were
 //     busy for Σworker of it, and the rest is wakeup lag and barrier
-//     idling — the overhead the BENCH_gibbs gap is made of.
+//     idling — the overhead that separates a parallel Gibbs sweep
+//     from its lanes' sampling work.
 //   - Coverage is Σ(top-level phase seconds)/Σ(epoch seconds): how much
 //     of the traced wall clock the named spans account for.
 type Summary struct {
