@@ -81,6 +81,14 @@ func (e *encBuf) str(s string)    { e.u32(uint32(len(s))); e.b = append(e.b, s..
 func (e *encBuf) bytes(b []byte)  { e.u32(uint32(len(b))); e.b = append(e.b, b...) }
 func (e *encBuf) rng(st RNGState) { e.i64(st.Seed); e.u64(st.Draws) }
 
+func (e *encBuf) flag(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
+
 // decBuf consumes a decoding with a sticky error.
 type decBuf struct {
 	b   []byte
@@ -113,6 +121,16 @@ func (d *decBuf) u8() uint8 {
 		return 0
 	}
 	return b[0]
+}
+
+// flag reads a bool byte. Only 0 and 1 are accepted, so every decoded
+// snapshot re-encodes to the bytes it came from.
+func (d *decBuf) flag(field string) bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail("%s byte is %d, want 0 or 1", field, v)
+	}
+	return v == 1
 }
 
 func (d *decBuf) u16() uint16 {
@@ -192,11 +210,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 	e.u8(uint8(p.DataRep))
 	e.u8(uint8(p.Executor))
 	e.u8(uint8(p.Placement))
-	if p.DenseStorage {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+	e.flag(p.DenseStorage)
 	e.str(p.Machine.Name)
 	e.i64(int64(p.Machine.Nodes))
 	e.i64(int64(p.Machine.CoresPerNode))
@@ -231,11 +245,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 	e.i64(int64(p.StealChunk))
 	e.i64(int64(s.DataRows))
 	e.u64(s.DataVersion)
-	if p.FixedOrder {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+	e.flag(p.FixedOrder)
 
 	e.u32(crc32.ChecksumIEEE(e.b))
 	return e.b
@@ -279,7 +289,7 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	p.DataRep = DataReplication(d.u8())
 	p.Executor = ExecutorKind(d.u8())
 	p.Placement = Placement(d.u8())
-	p.DenseStorage = d.u8() != 0
+	p.DenseStorage = d.flag("DenseStorage")
 	p.Machine = numa.Topology{
 		Name:         d.str(),
 		Nodes:        int(d.i64()),
@@ -324,7 +334,7 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	s.Plan.StealChunk = int(d.i64())
 	s.DataRows = int(d.i64())
 	s.DataVersion = d.u64()
-	s.Plan.FixedOrder = d.u8() != 0
+	s.Plan.FixedOrder = d.flag("FixedOrder")
 
 	if d.err != nil {
 		return Snapshot{}, d.err

@@ -179,6 +179,38 @@ func TestSnapshotCodecRejectsNewerVersion(t *testing.T) {
 	}
 }
 
+// TestSnapshotCodecRejectsNonBoolFlag: the DenseStorage and FixedOrder
+// bytes must be 0 or 1. A byte of 2 under a valid CRC would otherwise
+// decode as true and re-encode as 1, a different file. The error names
+// the field.
+func TestSnapshotCodecRejectsNonBoolFlag(t *testing.T) {
+	s := testSnapshot()
+	good := EncodeSnapshot(s)
+	// DenseStorage follows the magic, version, workload kind, the two
+	// length-prefixed names, five 8-byte scalars and five plan enums;
+	// FixedOrder is the last byte before the CRC.
+	dense := len(snapMagic) + 2 + 1 + 4 + len(s.Spec) + 4 + len(s.Dataset) + 5*8 + 5
+	for _, c := range []struct {
+		field string
+		off   int
+	}{
+		{"DenseStorage", dense},
+		{"FixedOrder", len(good) - 5},
+	} {
+		if good[c.off] != 1 {
+			t.Fatalf("%s: byte at offset %d is %d, want the encoded true (1)", c.field, c.off, good[c.off])
+		}
+		data := append([]byte(nil), good...)
+		data[c.off] = 2
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+		_, err := DecodeSnapshot(data)
+		want := c.field + " byte is 2, want 0 or 1"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s = 2: want error %q, got %v", c.field, want, err)
+		}
+	}
+}
+
 func TestSnapshotCodecRejectsLyingLengths(t *testing.T) {
 	// A claimed huge model vector must fail on the length check (before
 	// any allocation), not attempt to read 2^31 floats.

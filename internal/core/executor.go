@@ -112,16 +112,16 @@ func (s *simExecutor) runEpoch(ctx context.Context) (int, model.Stats, error) {
 // memory model: each locality group's replica is mirrored by a
 // vec.Atomic master; workers train on private working copies and push
 // accumulated deltas every ChunkSize steps with a fused single-pass
-// flush — sparse (dirty coordinates only) when the workload declares
-// per-unit coordinate sets, dense otherwise. When the workload is a
-// UnitToucher, each claimed chunk's data is touched in one pass before
-// the chunk steps, hiding row-fetch latency without changing the
-// steps. For ConcurrencyShared workloads (Gibbs) workers step directly
-// on the shared replica, whose Step is itself race-safe. Locality
-// groups meet through the engine's shared end-of-epoch combine, exactly
-// like the simulator; the simulated-cost machinery does not apply, so
-// epochs are measured in wall-clock time and the PMU-style counters
-// stay zero.
+// flush — sparse (only the coordinates of steps that wrote) when the
+// workload declares per-unit coordinate sets, dense otherwise. When the
+// workload is a UnitToucher, each claimed chunk's data is touched in
+// one pass before the chunk steps, hiding row-fetch latency without
+// changing the steps. For ConcurrencyShared workloads (Gibbs) workers
+// step directly on the shared replica, whose Step is itself race-safe.
+// Locality groups meet through the engine's shared end-of-epoch
+// combine, exactly like the simulator; the simulated-cost machinery
+// does not apply, so epochs are measured in wall-clock time and the
+// PMU-style counters stay zero.
 type parallelExecutor struct {
 	e       *Engine
 	delta   bool          // ConcurrencyDelta vs ConcurrencyShared
@@ -133,9 +133,9 @@ type parallelExecutor struct {
 	locals []*WorkState
 	bases  [][]float64
 	// coords drives the sparse flush path (non-nil when the workload's
-	// units have static coordinate sets): dirty accumulates each
-	// worker's touched coordinates per chunk, seen is the membership
-	// bitmap that dedups them.
+	// units have static coordinate sets): dirty accumulates the
+	// coordinates of each worker's writing steps per chunk, seen is the
+	// membership bitmap that dedups them.
 	coords UnitCoordser
 	dirty  [][]int32
 	seen   [][]byte
@@ -511,13 +511,17 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 	since := 0
 	run := func(items []int) bool {
 		// The touch is its own tight pass over the whole chunk: folded
-		// into the dirty-marking loop below, that loop's unpredictable
-		// branches would cap how many loads are in flight.
+		// into the step loop below, that loop's unpredictable branches
+		// would cap how many loads are in flight.
 		if p.touch != nil {
 			touched += p.touch.TouchUnits(items)
 		}
 		for _, item := range items {
-			if sparse {
+			stats := e.wl.Step(item, local, t.step, nil, nil)
+			// A step that wrote nothing left X unchanged, so its
+			// coordinates carry no delta to flush. Marking after the
+			// step finds the row's indices already in cache.
+			if sparse && stats.ModelWrites > 0 {
 				for _, j := range p.coords.UnitCoords(item) {
 					if seen[j] == 0 {
 						seen[j] = 1
@@ -525,7 +529,7 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 					}
 				}
 			}
-			st.Add(e.wl.Step(item, local, t.step, nil, nil))
+			st.Add(stats)
 			steps++
 			since++
 			if since >= flushEvery {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"dimmwitted/internal/data"
 	"dimmwitted/internal/mat"
 	"dimmwitted/internal/model"
+	"dimmwitted/internal/numa"
 )
 
 // trajectoryBits is the pinned one-lane trajectory of one spec: the
@@ -89,6 +91,89 @@ func TestParallelOneLaneTrajectoryPinned(t *testing.T) {
 		if got.model != want.model {
 			t.Errorf("%s: final model hash %#x, pinned %#x", spec.Name(), got.model, want.model)
 		}
+	}
+}
+
+// pinnedPerNodeTrajectories are the optimizer's 12-worker PerNode
+// plan on Local2 (two replicas of six workers each), generated at commit
+// 46ba781, before the delta worker marked a row's coordinates dirty only
+// after a step that wrote. Lane bands are cut along replicas, so at one
+// or two lanes every replica has a single writing goroutine and the
+// trajectory is deterministic; the bits must not depend on the lane
+// count.
+var pinnedPerNodeTrajectories = map[string]trajectoryBits{
+	"svm": {
+		losses: []uint64{0x3fd8bf2f09eb53c8, 0x3fd66b8e4a02e7aa, 0x3fd5733c7c376d96, 0x3fd54e3e7514ed59, 0x3fd52bc7369c4bb7},
+		model:  0x56213661a0873ab5,
+	},
+	"svm-l2": {
+		losses: []uint64{0x3fd901260f6b895b, 0x3fd69c3a7e679aa0, 0x3fd562067fc4f24d, 0x3fd6ce18e50acabe, 0x3fd667a82bfc89ff},
+		model:  0xd3a3a300dcf36de4,
+	},
+	"lr": {
+		losses: []uint64{0x3fd7b40b873796ab, 0x3fd5b5625fe08759, 0x3fd58b2b3e0695f4, 0x3fd549ffc789f2a7, 0x3fd4e3335695cb4a},
+		model:  0x6b8ac1dbaf1a1c66,
+	},
+}
+
+// TestParallelPerNodeTrajectoryPinned pins the multi-worker delta path
+// where TestParallelOneLaneTrajectoryPinned pins the one-worker path:
+// flushes, refreshes and steals across six co-replica workers. A
+// coordinate whose update is dropped or never refreshed changes these
+// bits. It runs under GOMAXPROCS 1 and 2 and restores the old value.
+// Skipped off amd64 for the same reason as the one-lane pin.
+func TestParallelPerNodeTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bit-exact trajectory pinned on amd64 only (GOARCH=%s may fuse multiply-adds)", runtime.GOARCH)
+	}
+	ds := data.GenerateSparse(data.SparseConfig{
+		Name: "pinned-pernode", Rows: 6000, Cols: 800, NNZPerRow: 12, Noise: 0.05, Seed: 13,
+	})
+	const epochs = 5
+	specs := []struct {
+		name string
+		spec model.Spec
+	}{
+		{"svm", model.NewSVM()},
+		{"svm-l2", model.NewSVMRegularized(0.1)},
+		{"lr", model.NewLR()},
+	}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, c := range specs {
+				plan, err := ChooseExecutor(c.spec, ds, numa.Local2, ExecParallel)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if plan.ModelRep != PerNode || plan.Workers != 12 {
+					t.Fatalf("%s: optimizer chose %v with %d workers, want PerNode with 12", c.name, plan.ModelRep, plan.Workers)
+				}
+				e := mustEngine(t, c.spec, ds, plan)
+				var got trajectoryBits
+				for i := 0; i < epochs; i++ {
+					got.losses = append(got.losses, math.Float64bits(e.RunEpoch().Loss))
+				}
+				got.model = modelHash(e.Model())
+				e.Close()
+
+				want, ok := pinnedPerNodeTrajectories[c.name]
+				if !ok {
+					t.Errorf("%s: no pinned trajectory; got losses %#x model %#x", c.name, got.losses, got.model)
+					continue
+				}
+				for i := range want.losses {
+					if got.losses[i] != want.losses[i] {
+						t.Errorf("%s epoch %d: loss bits %#x (%v), pinned %#x (%v)", c.name, i+1,
+							got.losses[i], math.Float64frombits(got.losses[i]),
+							want.losses[i], math.Float64frombits(want.losses[i]))
+					}
+				}
+				if got.model != want.model {
+					t.Errorf("%s: final model hash %#x, pinned %#x", c.name, got.model, want.model)
+				}
+			}
+		})
 	}
 }
 

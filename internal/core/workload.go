@@ -228,6 +228,12 @@ type Workload interface {
 // refresh only the coordinates a chunk actually dirtied — a sparse row
 // then costs O(nnz) per flush instead of O(dim) — so implementations
 // must guarantee Step reads and writes X only at UnitCoords(unit).
+//
+// The executor lists a unit's coordinates after its Step returns, and
+// only when the returned Stats report ModelWrites > 0. Implementations
+// must therefore also guarantee that a step reporting ModelWrites == 0
+// left X unchanged, and that a step that writes writes only at
+// UnitCoords(unit).
 type UnitCoordser interface {
 	// SparseUnits reports whether per-unit coordinate sets apply under
 	// the bound plan (e.g. GLM row-wise steps over CSR rows; false for

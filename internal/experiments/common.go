@@ -6,8 +6,9 @@
 //
 // Absolute values are simulated-clock seconds (see DESIGN.md); the
 // comparisons the paper draws — who wins, by what factor, where
-// crossovers fall — are the reproduction target, recorded side by side
-// with the paper's numbers in EXPERIMENTS.md.
+// crossovers fall — are the reproduction target. Each table's notes
+// state the paper's finding next to the reproduced one; `dwbench -list`
+// names the figures and `dwbench -fig 7b` prints one.
 package experiments
 
 import (

@@ -129,7 +129,7 @@ func Fig7b(quick bool) *Result {
 	}
 	t.Notes = "paper: row-wise wins at low cost ratio (6x), column-wise at high (3x); crossover exists. " +
 		"Here the crossover falls between keep=1.0 (row wins) and keep=0.1 (column wins); at the extreme " +
-		"sparse tail (keep=0.02) sub-cacheline updates de-contend row-wise writes and it wins again — see EXPERIMENTS.md."
+		"sparse tail (keep=0.02) sub-cacheline updates de-contend row-wise writes and it wins again."
 	return &Result{Table: t, Metrics: metrics}
 }
 
