@@ -97,7 +97,7 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 	log.Printf("dwcoord: cluster %q listening on %s, %d peers joined, datasets %v",
-		*name, *addr, joined, data.Names())
+		*name, *addr, joined, data.BuiltinNames())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 

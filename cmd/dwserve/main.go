@@ -82,7 +82,6 @@ import (
 	"syscall"
 	"time"
 
-	"dimmwitted/internal/data"
 	"dimmwitted/internal/factor"
 	"dimmwitted/internal/nn"
 	"dimmwitted/internal/numa"
@@ -227,7 +226,7 @@ func main() {
 		planning = "static planning"
 	}
 	log.Printf("dwserve: listening on %s, machine %s, %d training slots, %s, %s, datasets %v, graphs %v, nn datasets %v",
-		*addr, top.Name, srv.Scheduler().Slots(), durability, planning, data.Names(), factor.GraphNames(), nn.DatasetNames())
+		*addr, top.Name, srv.Scheduler().Slots(), durability, planning, srv.Scheduler().Catalog().Datasets(), factor.BuiltinNames(), nn.BuiltinNames())
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -35,11 +35,9 @@ import (
 	"dimmwitted/internal/core"
 	"dimmwitted/internal/data"
 	"dimmwitted/internal/factor"
-	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/nn"
 	"dimmwitted/internal/numa"
-	"dimmwitted/internal/serve"
 )
 
 // Engine executes one analytics task under an execution plan.
@@ -152,13 +150,6 @@ type FactorGraph = factor.Graph
 // onto the plan's model replicas, variables onto work units.
 func GibbsWorkload(g *FactorGraph) *factor.Workload { return factor.NewWorkload(g) }
 
-// GraphByName returns a registered factor graph ("paleo", "cycle5",
-// ...), the names the serving API's gibbs jobs accept.
-func GraphByName(name string) (*FactorGraph, error) { return factor.GraphByName(name) }
-
-// GraphNames lists the registered factor graph names.
-func GraphNames() []string { return factor.GraphNames() }
-
 // NNDataset is a labelled image dataset for the NN workload.
 type NNDataset = nn.Dataset
 
@@ -168,14 +159,6 @@ type NNDataset = nn.Dataset
 func NNWorkload(ds *NNDataset, sizes []int, seed int64) (*nn.Workload, error) {
 	return nn.NewWorkload(ds, nn.WorkloadConfig{Sizes: sizes, Seed: seed})
 }
-
-// NNDatasetByName returns a registered image dataset and its network
-// architecture ("mnist", ...), the names the serving API's nn jobs
-// accept.
-func NNDatasetByName(name string) (*NNDataset, []int, error) { return nn.DatasetByName(name) }
-
-// NNDatasetNames lists the registered NN dataset names.
-func NNDatasetNames() []string { return nn.DatasetNames() }
 
 // ChooseWorkload runs a workload's cost-based optimizer for a topology
 // and execution backend.
@@ -250,28 +233,6 @@ func SubsampleRows(d *Dataset, frac float64, seed int64) *Dataset {
 	return data.SubsampleRows(d, frac, seed)
 }
 
-// DatasetByName returns the shared instance of a registered dataset
-// ("rcv1", "reuters", ...), the names the serving API accepts.
-func DatasetByName(name string) (*Dataset, error) { return data.ByName(name) }
-
-// DatasetNames lists the registered dataset names.
-func DatasetNames() []string { return data.Names() }
-
-// ---- Serving layer (internal/serve) ----
-
-// Snapshot is a frozen copy of an engine's trained model, the unit the
-// model registry stores and serves predictions from. It is also a
-// resume point: Engine.Restore continues training from it exactly.
-type Snapshot = core.Snapshot
-
-// EncodeSnapshot serializes a snapshot in the versioned binary codec
-// (magic, version, CRC-32 trailer) the durable checkpoint store uses.
-func EncodeSnapshot(s Snapshot) []byte { return core.EncodeSnapshot(s) }
-
-// DecodeSnapshot parses a serialized snapshot, verifying magic,
-// version and CRC.
-func DecodeSnapshot(data []byte) (Snapshot, error) { return core.DecodeSnapshot(data) }
-
 // Example is one prediction input: a sparse feature vector.
 type Example = model.Example
 
@@ -280,47 +241,3 @@ type Example = model.Example
 func Predict(spec Spec, x []float64, examples []Example) ([]float64, error) {
 	return model.PredictBatch(spec, x, examples)
 }
-
-// Server is the HTTP serving front end: POST /v1/train, GET
-// /v1/jobs/{id}, POST /v1/predict, GET /v1/stats (see internal/serve).
-// Prediction serving runs on a sharded, lock-free-read model registry.
-type Server = serve.Server
-
-// ServeOptions configures a server or scheduler (worker slots, durable
-// stores, request body cap).
-type ServeOptions = serve.Options
-
-// Registry is the model registry servers predict from: lock-striped
-// shards of immutable, pre-resolved serving models published by atomic
-// pointer swap, with single-flight lazy loads from the durable store.
-type Registry = serve.Registry
-
-// NewRegistry returns an empty, memory-only model registry.
-func NewRegistry() *Registry { return serve.NewRegistry() }
-
-// ModelInfo is one row of the registry's model listing.
-type ModelInfo = serve.ModelInfo
-
-// LatencySnapshot is a per-route latency percentile summary
-// (p50/p95/p99) as reported under "latency" in /v1/stats.
-type LatencySnapshot = metrics.HistogramSnapshot
-
-// ErrUnknownModel reports a registry miss (HTTP 404 on /v1/predict);
-// match it with errors.Is.
-var ErrUnknownModel = serve.ErrUnknownModel
-
-// Scheduler runs training jobs asynchronously on a worker pool sized
-// from the NUMA topology.
-type Scheduler = serve.Scheduler
-
-// TrainRequest describes one training job for the scheduler.
-type TrainRequest = serve.TrainRequest
-
-// JobStatus is a point-in-time copy of a training job's state.
-type JobStatus = serve.JobStatus
-
-// NewServer builds an HTTP serving front end with its own scheduler.
-func NewServer(opts ServeOptions) *Server { return serve.NewServer(opts) }
-
-// NewScheduler builds a standalone training-job scheduler.
-func NewScheduler(opts ServeOptions) *Scheduler { return serve.NewScheduler(opts) }

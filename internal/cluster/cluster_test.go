@@ -13,9 +13,7 @@ import (
 )
 
 // testPeer is one in-process dwserve node: a serve.Server behind an
-// httptest listener. Peers share the process-wide data registry, so
-// shard stream names keep them apart — exactly the invariant the
-// coordinator maintains for real nodes too.
+// httptest listener, with its own dataset catalog as a real node has.
 type testPeer struct {
 	srv *serve.Server
 	ts  *httptest.Server
@@ -37,13 +35,16 @@ func startPeers(t *testing.T, n int) []*testPeer {
 }
 
 // unionDataset registers a small deterministic classification stream
-// under name and returns its published view. Rows are sparse with a
-// drifting support so every shard sees every feature.
-func unionDataset(t *testing.T, name string, rows, cols int) *data.Dataset {
+// under name in the coordinator's catalog and returns its published
+// view. Rows are sparse with a drifting support so every shard sees
+// every feature. The view must hold exactly rows rows: a stream left
+// over under the same name would make the parity tests compare a
+// different union.
+func unionDataset(t *testing.T, c *Coordinator, name string, rows, cols int) *data.Dataset {
 	t.Helper()
-	h, err := data.EnsureStream(name, cols, data.Classification)
+	h, err := c.catalog.Stream(name, cols, data.Classification)
 	if err != nil {
-		t.Fatalf("EnsureStream(%s): %v", name, err)
+		t.Fatalf("Stream(%s): %v", name, err)
 	}
 	batch := make([]data.Row, 0, rows)
 	for i := 0; i < rows; i++ {
@@ -67,6 +68,9 @@ func unionDataset(t *testing.T, name string, rows, cols int) *data.Dataset {
 	ds, err := h.Append(batch)
 	if err != nil {
 		t.Fatalf("Append(%s): %v", name, err)
+	}
+	if ds.Rows() != rows {
+		t.Fatalf("stream %s holds %d rows, want %d", name, ds.Rows(), rows)
 	}
 	return ds
 }
@@ -99,10 +103,9 @@ func TestClusterParityWithSingleNode(t *testing.T) {
 		step       = 0.1
 		decay      = 0.95
 	)
-	union := unionDataset(t, "cl-parity-union", rows, cols)
-
 	peers := startPeers(t, 3)
 	coord := newTestCoordinator(t, peers, Options{})
+	union := unionDataset(t, coord, "cl-parity-union", rows, cols)
 	id, err := coord.Train(TrainRequest{
 		Model:      "svm",
 		Dataset:    "cl-parity-union",
@@ -197,8 +200,6 @@ func TestClusterFailoverMidRun(t *testing.T) {
 		step       = 0.1
 		decay      = 0.9
 	)
-	union := unionDataset(t, "cl-failover-union", rows, cols)
-
 	peers := startPeers(t, 3)
 	var killed string
 	coord := newTestCoordinator(t, peers, Options{
@@ -209,6 +210,7 @@ func TestClusterFailoverMidRun(t *testing.T) {
 			}
 		},
 	})
+	union := unionDataset(t, coord, "cl-failover-union", rows, cols)
 	id, err := coord.Train(TrainRequest{
 		Model:      "svm",
 		Dataset:    "cl-failover-union",

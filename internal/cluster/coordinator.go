@@ -188,6 +188,8 @@ type clusterJob struct {
 type Coordinator struct {
 	opts Options
 	ring *Ring
+	// catalog resolves the dataset names Train accepts.
+	catalog *serve.Catalog
 
 	mu    sync.Mutex
 	peers map[string]*peerState
@@ -196,19 +198,20 @@ type Coordinator struct {
 }
 
 // globalSeq numbers jobs and shard streams uniquely across every
-// coordinator in the process: peers — and, for in-process peers, the
-// shared data registry — see one stream namespace, so two
-// coordinators must never mint the same name.
+// coordinator in the process: one peer can be joined by several
+// coordinators, and each peer keeps one stream namespace, so two
+// coordinators must never mint the same shard name.
 var globalSeq atomic.Int64
 
 // NewCoordinator builds a coordinator with no peers.
 func NewCoordinator(opts Options) *Coordinator {
 	opts = opts.normalize()
 	return &Coordinator{
-		opts:  opts,
-		ring:  NewRing(opts.RingVNodes),
-		peers: map[string]*peerState{},
-		jobs:  map[string]*clusterJob{},
+		opts:    opts,
+		ring:    NewRing(opts.RingVNodes),
+		catalog: serve.NewCatalog(),
+		peers:   map[string]*peerState{},
+		jobs:    map[string]*clusterJob{},
 	}
 }
 
@@ -288,7 +291,7 @@ func (c *Coordinator) Train(req TrainRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ds, err := data.ByName(req.Dataset)
+	ds, err := c.catalog.Dataset(req.Dataset)
 	if err != nil {
 		return "", err
 	}

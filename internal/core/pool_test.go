@@ -11,13 +11,42 @@ import (
 	"dimmwitted/internal/model"
 )
 
-// goroutinesSettle polls until the live goroutine count drops to at
-// most want or the deadline passes, absorbing scheduler lag between a
-// pool's feed-channel close and its goroutines' exits.
-func goroutinesSettle(want int) int {
+// poolLanes counts the live pool lane goroutines that the calling
+// goroutine's engines started: stacks running laneLoop whose creator
+// is this goroutine. Lanes left by other tests' engines do not count,
+// so the figure does not depend on test order.
+func poolLanes() int {
+	self, _, _ := strings.Cut(strings.TrimPrefix(string(stackDump(false)), "goroutine "), " ")
+	creator := "created by dimmwitted/internal/core.(*parallelExecutor).start in goroutine " + self + "\n"
+	n := 0
+	for _, g := range strings.Split(string(stackDump(true)), "\n\n") {
+		if strings.Contains(g, ".laneLoop(") && strings.Contains(g, creator) {
+			n++
+		}
+	}
+	return n
+}
+
+// stackDump returns runtime.Stack's full output, growing the buffer
+// until it fits.
+func stackDump(all bool) []byte {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, all)
+		if n < len(buf) {
+			return buf[:n]
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// lanesSettle polls until at most want lanes remain or the deadline
+// passes, absorbing scheduler lag between a lane's wg.Done and its
+// goroutine's exit.
+func lanesSettle(want int) int {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n := runtime.NumGoroutine()
+		n := poolLanes()
 		if n <= want || time.Now().After(deadline) {
 			return n
 		}
@@ -31,7 +60,9 @@ func goroutinesSettle(want int) int {
 // every one of them, Close is idempotent, and an epoch after Close
 // fails loudly instead of hanging on closed feeds.
 func TestPoolLifecycle(t *testing.T) {
-	base := runtime.NumGoroutine()
+	if n := poolLanes(); n != 0 {
+		t.Fatalf("%d lanes before any engine ran", n)
+	}
 	e := mustEngine(t, model.NewSVM(), data.Reuters(),
 		Plan{Executor: ExecParallel, Access: model.RowWise, Workers: 4, Seed: 1})
 
@@ -40,20 +71,20 @@ func TestPoolLifecycle(t *testing.T) {
 		want = 4
 	}
 	e.RunEpoch()
-	afterFirst := runtime.NumGoroutine()
-	if afterFirst < base+want {
-		t.Errorf("pool after first epoch: %d goroutines over baseline, want >= %d", afterFirst-base, want)
+	afterFirst := poolLanes()
+	if afterFirst != want {
+		t.Errorf("pool after first epoch: %d lanes, want %d", afterFirst, want)
 	}
 	for i := 0; i < 5; i++ {
 		e.RunEpoch()
 	}
-	if n := runtime.NumGoroutine(); n > afterFirst {
-		t.Errorf("pool grew across epochs: %d goroutines after 6 epochs, %d after 1", n, afterFirst)
+	if n := poolLanes(); n > afterFirst {
+		t.Errorf("pool grew across epochs: %d lanes after 6 epochs, %d after 1", n, afterFirst)
 	}
 
 	e.Close()
-	if n := goroutinesSettle(base); n > base {
-		t.Errorf("pool leaked: %d goroutines after Close, baseline %d", n, base)
+	if n := lanesSettle(0); n > 0 {
+		t.Errorf("pool leaked: %d lanes after Close", n)
 	}
 	e.Close() // idempotent
 

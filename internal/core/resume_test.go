@@ -48,7 +48,11 @@ func gibbsWorkload(t *testing.T) core.Workload {
 
 func nnWorkload(t *testing.T) core.Workload {
 	t.Helper()
-	ds, sizes, err := nn.DatasetByName("mnist-small")
+	ds, err := nn.Build("mnist-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes, err := nn.Sizes("mnist-small")
 	if err != nil {
 		t.Fatal(err)
 	}

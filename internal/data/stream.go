@@ -73,9 +73,11 @@ func frozenHandle(ds *Dataset) *Handle {
 	return h
 }
 
-// newStreamHandle creates an empty growable handle. Version 1 is the
-// empty view; the first append publishes version 2.
-func newStreamHandle(name string, cols int, task Task) *Handle {
+// NewStream creates an empty growable handle. Version 1 is the empty
+// view; the first append publishes version 2. A handle belongs to no
+// namespace: the serving catalog (internal/serve) names one server's
+// streams, and benchmark harnesses build standalone ones.
+func NewStream(name string, cols int, task Task) *Handle {
 	h := &Handle{
 		name:   name,
 		task:   task,
@@ -84,14 +86,6 @@ func newStreamHandle(name string, cols int, task Task) *Handle {
 	}
 	h.publishLocked(1)
 	return h
-}
-
-// NewStream creates a standalone growable handle outside the registry
-// namespace. Benchmark harnesses use it to build streams repeatedly
-// without claiming a global dataset name; serving code goes through
-// EnsureStream instead.
-func NewStream(name string, cols int, task Task) *Handle {
-	return newStreamHandle(name, cols, task)
 }
 
 // Name returns the dataset name this handle serves.

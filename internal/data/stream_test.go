@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -68,19 +67,13 @@ func TestStreamChunkedAppendMatchesSingle(t *testing.T) {
 	const cols = 40
 	rows := streamRows(7, 100, cols)
 
-	chunked, err := EnsureStream("test-chunked", cols, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunked := NewStream("test-chunked", cols, Classification)
 	for i := 0; i < len(rows); i += 25 {
 		if _, err := chunked.Append(rows[i : i+25]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	single, err := EnsureStream("test-single", cols, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := NewStream("test-single", cols, Classification)
 	if _, err := single.Append(rows); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +93,7 @@ func TestStreamChunkedAppendMatchesSingle(t *testing.T) {
 // invariants — sparse entries sorted by column with duplicates summed,
 // dense zeros dropped.
 func TestStreamRowNormalization(t *testing.T) {
-	h, err := EnsureStream("test-normalize", 6, Regression)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewStream("test-normalize", 6, Regression)
 	view, err := h.Append([]Row{
 		{Indices: []int32{4, 1, 4, 0}, Values: []float64{1, 2, 3, 4}, Label: 0.5},
 		{Dense: []float64{0, 7, 0, 0, 8, 0}, Label: -0.5},
@@ -135,10 +125,7 @@ func TestStreamRowNormalization(t *testing.T) {
 // after it was taken.
 func TestStreamViewImmutableUnderAppend(t *testing.T) {
 	const cols = 30
-	h, err := EnsureStream("test-immutable", cols, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewStream("test-immutable", cols, Classification)
 	first := streamRows(11, 20, cols)
 	old, err := h.Append(first)
 	if err != nil {
@@ -178,10 +165,7 @@ func TestStreamViewImmutableUnderAppend(t *testing.T) {
 // live at that point.
 func TestStreamViewAt(t *testing.T) {
 	const cols = 25
-	h, err := EnsureStream("test-viewat", cols, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewStream("test-viewat", cols, Classification)
 	rows := streamRows(3, 60, cols)
 	var published []*Dataset
 	for i := 0; i < len(rows); i += 20 {
@@ -216,10 +200,7 @@ func TestStreamViewAt(t *testing.T) {
 // TestStreamAppendValidation: bad rows are rejected before any
 // mutation, so a chunk with one bad row leaves the store untouched.
 func TestStreamAppendValidation(t *testing.T) {
-	h, err := EnsureStream("test-validate", 10, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewStream("test-validate", 10, Classification)
 	cases := map[string][]Row{
 		"empty chunk":         {},
 		"column out of range": {{Indices: []int32{10}, Values: []float64{1}}},
@@ -242,72 +223,11 @@ func TestStreamAppendValidation(t *testing.T) {
 	}
 }
 
-// TestRegistryHandlesAreFrozen: registry datasets come back as frozen
-// version-1 handles — appends are rejected and every caller shares one
-// immutable view, so no job can see another job's dataset mid-change.
-func TestRegistryHandlesAreFrozen(t *testing.T) {
-	h, err := HandleByName("reuters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Frozen() {
-		t.Fatal("registry handle not frozen")
-	}
-	if _, err := h.Append([]Row{{Indices: []int32{0}, Values: []float64{1}}}); err == nil {
-		t.Fatal("append to a frozen registry dataset succeeded")
-	}
-	a, err := ByName("reuters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ByName("reuters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("ByName returned distinct views of a frozen dataset")
-	}
-	if a.Version != 1 {
-		t.Fatalf("registry dataset version = %d, want 1", a.Version)
-	}
-	if _, err := EnsureStream("reuters", 10, Classification); err == nil ||
-		!strings.Contains(err.Error(), "frozen") {
-		t.Fatalf("EnsureStream over a registry name = %v, want frozen error", err)
-	}
-}
-
-// TestEnsureStreamShape: a stream's shape is fixed at creation.
-func TestEnsureStreamShape(t *testing.T) {
-	if _, err := EnsureStream("", 5, Classification); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, err := EnsureStream("test-shape", 0, Classification); err == nil {
-		t.Fatal("zero cols accepted")
-	}
-	h, err := EnsureStream("test-shape", 5, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := EnsureStream("test-shape", 5, Classification)
-	if err != nil || again != h {
-		t.Fatalf("re-ensure = %v, %v — want the same handle", again, err)
-	}
-	if _, err := EnsureStream("test-shape", 6, Classification); err == nil {
-		t.Fatal("cols mismatch accepted")
-	}
-	if _, err := EnsureStream("test-shape", 5, Regression); err == nil {
-		t.Fatal("task mismatch accepted")
-	}
-}
-
 // TestTailView: the held-out tail covers the last ceil(frac*rows) rows
 // (at least one), with row pointers rebased over shared storage.
 func TestTailView(t *testing.T) {
 	const cols = 15
-	h, err := EnsureStream("test-tail", cols, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewStream("test-tail", cols, Classification)
 	view, err := h.Append(streamRows(5, 10, cols))
 	if err != nil {
 		t.Fatal(err)
@@ -348,10 +268,7 @@ func TestTailView(t *testing.T) {
 // appends touch disjoint memory.
 func TestStreamConcurrentReadersWhileAppending(t *testing.T) {
 	const cols = 50
-	h, err := EnsureStream("test-race", cols, Classification)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewStream("test-race", cols, Classification)
 	if _, err := h.Append(streamRows(1, 40, cols)); err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,13 @@ package factor
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
-// The graph registry backs the serving API's "dataset" field for Gibbs
-// jobs: named, deterministic factor graphs whose name pins the full
-// structure (so plan-cache keys stay honest). Instances are shared and
-// must be treated as immutable.
-var (
-	graphMu    sync.Mutex
-	graphCache = map[string]*Graph{}
-)
-
-// graphBuilders maps registry names to constructors.
+// graphBuilders is the constant table behind the serving API's
+// "dataset" field for Gibbs jobs: named, deterministic factor graphs
+// whose name pins the full structure (so plan-cache keys stay honest).
+// Build generates afresh on every call; the serving catalog
+// (internal/serve) keeps one shared, immutable instance per name.
 var graphBuilders = map[string]func() *Graph{
 	// The paper's Paleo-scale inference workload.
 	"paleo": Paleo,
@@ -59,25 +53,18 @@ func Pairs4() *Graph {
 	return g
 }
 
-// GraphByName returns the shared instance of a registered factor
-// graph.
-func GraphByName(name string) (*Graph, error) {
-	graphMu.Lock()
-	defer graphMu.Unlock()
-	if g, ok := graphCache[name]; ok {
-		return g, nil
-	}
+// Build generates a registered factor graph. Every call builds a
+// fresh instance.
+func Build(name string) (*Graph, error) {
 	build, ok := graphBuilders[name]
 	if !ok {
-		return nil, fmt.Errorf("factor: unknown graph %q (want one of %v)", name, GraphNames())
+		return nil, fmt.Errorf("factor: unknown graph %q (want one of %v)", name, BuiltinNames())
 	}
-	g := build()
-	graphCache[name] = g
-	return g, nil
+	return build(), nil
 }
 
-// GraphNames lists the registered graph names, sorted.
-func GraphNames() []string {
+// BuiltinNames lists the registered graph names, sorted.
+func BuiltinNames() []string {
 	names := make([]string, 0, len(graphBuilders))
 	for n := range graphBuilders {
 		names = append(names, n)

@@ -14,7 +14,7 @@ import (
 // is on the aggregate over all sweeps, which is far more stable than
 // any single epoch's timing.
 func TestTraceCoversParallelGibbsEpochs(t *testing.T) {
-	g, err := GraphByName("cycle5")
+	g, err := Build("cycle5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dimmwitted/internal/core"
@@ -229,9 +230,17 @@ func TestWorkloadSnapshotPredict(t *testing.T) {
 	}
 }
 
+// TestDatasetRegistry: every registered name builds a dataset carrying
+// that name, deterministically, whose input width matches the
+// architecture registered beside it; unknown names are refused. The
+// serving catalog's test checks that one catalog shares each dataset.
 func TestDatasetRegistry(t *testing.T) {
-	for _, name := range DatasetNames() {
-		ds, sizes, err := DatasetByName(name)
+	for _, name := range BuiltinNames() {
+		ds, err := Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, err := Sizes(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,16 +250,19 @@ func TestDatasetRegistry(t *testing.T) {
 		if len(ds.Images[0]) != sizes[0] {
 			t.Errorf("dataset %q input dim %d != architecture %v", name, len(ds.Images[0]), sizes)
 		}
-		again, _, err := DatasetByName(name)
+		again, err := Build(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ds != again {
-			t.Errorf("dataset %q not cached as a shared instance", name)
+		if !reflect.DeepEqual(ds, again) {
+			t.Errorf("dataset %q not rebuilt identically", name)
 		}
 	}
-	if _, _, err := DatasetByName("no-such-dataset"); err == nil {
+	if _, err := Build("no-such-dataset"); err == nil {
 		t.Error("unknown dataset accepted")
+	}
+	if _, err := Sizes("no-such-dataset"); err == nil {
+		t.Error("unknown architecture accepted")
 	}
 }
 

@@ -185,7 +185,7 @@ func TestHTTPAppendFallbackKeepsEncodingJSON(t *testing.T) {
 // names cols or task must match the stream's shape, even when its
 // indices would fit a wrong cols.
 func TestHTTPAppendShapeCheck(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	srv, ts := newTestServer(t, Options{})
 	client := ts.Client()
 	const stream = "shape-stream"
 	url := ts.URL + "/v1/datasets/" + stream + "/append"
@@ -206,7 +206,7 @@ func TestHTTPAppendShapeCheck(t *testing.T) {
 		{"unknown task", appendRequest{Rows: rows, Task: "ranking"}, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, err := data.HandleByName(stream)
+			h, err := srv.Scheduler().Catalog().Handle(stream)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dimmwitted/internal/core"
-	"dimmwitted/internal/data"
 )
 
 // Peer-mode endpoints: the handful of routes a cluster coordinator
@@ -77,7 +76,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	s.cluster.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, joinResponse{
 		Machine:  s.sched.opts.Machine.Name,
-		Datasets: data.Names(),
+		Datasets: s.sched.Catalog().Datasets(),
 		Models:   s.sched.Models().Len(),
 	})
 }
@@ -156,7 +155,7 @@ type rowsResponse struct {
 // every task.
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ds, err := data.ByName(id)
+	ds, err := s.sched.Catalog().Dataset(id)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return

@@ -72,7 +72,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	// the checkpoint the dying scheduler would have left behind. The
 	// completed reference job's checkpoints were deleted, so the store
 	// holds only the "crashed" job.
-	wl, _, _, err := buildWorkload(core.WorkloadGLM, req)
+	wl, _, _, err := s1.buildWorkload(core.WorkloadGLM, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func TestPlanCacheEviction(t *testing.T) {
 	c := NewPlanCacheSize(2)
 	spec := model.NewSVM()
-	ds, err := data.ByName("reuters")
+	ds, err := NewCatalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPlanCacheEviction(t *testing.T) {
 func TestPlanCacheInvalidate(t *testing.T) {
 	c := NewPlanCache()
 	spec := model.NewSVM()
-	ds, err := data.ByName("reuters")
+	ds, err := NewCatalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFeedbackInvalidatesFlippedWinner(t *testing.T) {
 	}
 
 	// Plant measurements that make a non-static candidate the winner.
-	ds, err := data.ByName("reuters")
+	ds, err := s.Catalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}

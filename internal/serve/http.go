@@ -427,7 +427,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("append request has no rows"))
 		return
 	}
-	h, err := data.HandleByName(id)
+	h, err := s.sched.Catalog().Handle(id)
 	task, taskErr := parseTask(req.Task)
 	switch {
 	case err == nil && h.Frozen():
@@ -442,7 +442,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, taskErr)
 		return
 	case err != nil:
-		if h, err = data.EnsureStream(id, req.Cols, task); err != nil {
+		if h, err = s.sched.Catalog().Stream(id, req.Cols, task); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -456,7 +456,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		if req.Task == "" {
 			task = h.Task()
 		}
-		if _, err := data.EnsureStream(id, cols, task); err != nil {
+		if _, err := s.sched.Catalog().Stream(id, cols, task); err != nil {
 			s.writeError(w, http.StatusConflict, err)
 			return
 		}
@@ -538,9 +538,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Models:        s.sched.Models().Len(),
 		Latency:       lat,
 		PredictStages: stages,
-		Datasets:      data.Names(),
-		Graphs:        factor.GraphNames(),
-		NNDatasets:    nn.DatasetNames(),
+		Datasets:      s.sched.Catalog().Datasets(),
+		Graphs:        factor.BuiltinNames(),
+		NNDatasets:    nn.BuiltinNames(),
 	}
 	if fb := s.sched.Feedback(); fb != nil {
 		st := fb.Stats()

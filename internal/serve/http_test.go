@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"dimmwitted/internal/core"
-	"dimmwitted/internal/data"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/nn"
 	"dimmwitted/internal/numa"
@@ -100,7 +99,7 @@ func trainToCompletion(t *testing.T, client *http.Client, base string, req Train
 }
 
 func TestHTTPTrainPredictRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	srv, ts := newTestServer(t, Options{})
 	client := ts.Client()
 
 	// Train SVM on reuters — the acceptance-criteria demo workload.
@@ -115,7 +114,7 @@ func TestHTTPTrainPredictRoundTrip(t *testing.T) {
 	}
 
 	// Predict the training rows back; labels must mostly match.
-	ds, err := data.ByName("reuters")
+	ds, err := srv.Scheduler().Catalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +395,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	// running a full train -> poll -> predict session against one
 	// server. Under -race this exercises the scheduler, plan cache,
 	// registry and counters from many goroutines at once.
-	_, ts := newTestServer(t, Options{Machine: numa.Local4})
+	srv, ts := newTestServer(t, Options{Machine: numa.Local4})
 	const clients = 6
 
 	type result struct {
@@ -469,7 +468,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 			}
 
 			// Each client predicts one example from its dataset.
-			ds, err := data.ByName(req.Dataset)
+			ds, err := srv.Scheduler().Catalog().Dataset(req.Dataset)
 			if err != nil {
 				results[c] = result{err: err}
 				return
@@ -535,7 +534,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 // demo: train a model with "executor": "parallel" over the HTTP API,
 // then serve predictions from it.
 func TestHTTPParallelTrainPredictRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	srv, ts := newTestServer(t, Options{})
 	client := ts.Client()
 
 	id, st := trainToCompletion(t, client, ts.URL, TrainRequest{
@@ -548,7 +547,7 @@ func TestHTTPParallelTrainPredictRoundTrip(t *testing.T) {
 		t.Errorf("parallel job times sim=%v wall=%v, want 0 and > 0", st.SimSeconds, st.WallSeconds)
 	}
 
-	ds, err := data.ByName("reuters")
+	ds, err := srv.Scheduler().Catalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}

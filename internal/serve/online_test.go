@@ -96,7 +96,7 @@ func TestPromoteDecision(t *testing.T) {
 func TestShadowGateNeverPromotesRegression(t *testing.T) {
 	const cols = 8
 	s := newTestScheduler(t, Options{})
-	h, err := data.EnsureStream("gate-stream", cols, data.Classification)
+	h, err := s.Catalog().Stream("gate-stream", cols, data.Classification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestShadowGateNeverPromotesRegression(t *testing.T) {
 // carry it — a plan cached for the smaller matrix is never reused.
 func TestPlanKeyMissesAfterAppend(t *testing.T) {
 	const cols = 12
-	h, err := data.EnsureStream("key-stream", cols, data.Classification)
+	h, err := NewCatalog().Stream("key-stream", cols, data.Classification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPlanKeyMissesAfterAppend(t *testing.T) {
 func TestOnlineJobTrainsAcrossAppends(t *testing.T) {
 	const cols = 20
 	s := newTestScheduler(t, Options{})
-	h, err := data.EnsureStream("grow-stream", cols, data.Classification)
+	h, err := s.Catalog().Stream("grow-stream", cols, data.Classification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,8 @@ func TestOnlineMatchesStaticLoss(t *testing.T) {
 	const cols, n, epochs = 16, 90, 12
 	rows := onlineRows(51, n, cols)
 
-	chunked, err := data.EnsureStream("parity-online", cols, data.Classification)
+	s := newTestScheduler(t, Options{})
+	chunked, err := s.Catalog().Stream("parity-online", cols, data.Classification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestOnlineMatchesStaticLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	single, err := data.EnsureStream("parity-static", cols, data.Classification)
+	single, err := s.Catalog().Stream("parity-static", cols, data.Classification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,6 @@ func TestOnlineMatchesStaticLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := newTestScheduler(t, Options{})
 	run := func(dataset string, online bool) JobStatus {
 		t.Helper()
 		id, err := s.Submit(TrainRequest{
@@ -368,7 +368,7 @@ func TestOnlineMatchesStaticLoss(t *testing.T) {
 // stream creation, version bumps, and the error taxonomy (unknown
 // dataset without cols, frozen registry names, malformed rows).
 func TestHTTPAppendEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	srv, ts := newTestServer(t, Options{})
 	client := ts.Client()
 	url := ts.URL + "/v1/datasets/http-stream/append"
 
@@ -410,7 +410,7 @@ func TestHTTPAppendEndpoint(t *testing.T) {
 	if code := doJSON(t, client, http.MethodPost, url, appendRequest{Rows: []appendRowJSON{}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty append = %d, want 400", code)
 	}
-	if h, err := data.HandleByName("http-stream"); err != nil || h.Version() != 3 {
+	if h, err := srv.Scheduler().Catalog().Handle("http-stream"); err != nil || h.Version() != 3 {
 		t.Fatalf("rejected appends changed the stream: %v v%d", err, h.Version())
 	}
 
@@ -438,7 +438,7 @@ func TestHTTPAppendEndpoint(t *testing.T) {
 func TestTwoJobsTrainWhileAppending(t *testing.T) {
 	const cols = 18
 	s := newTestScheduler(t, Options{})
-	h, err := data.EnsureStream("race-stream", cols, data.Classification)
+	h, err := s.Catalog().Stream("race-stream", cols, data.Classification)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dimmwitted/internal/core"
-	"dimmwitted/internal/data"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
 )
@@ -12,7 +11,7 @@ import (
 func TestPlanCacheHitMiss(t *testing.T) {
 	c := NewPlanCache()
 	spec := model.NewSVM()
-	ds, err := data.ByName("reuters")
+	ds, err := NewCatalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 
 	// A different dataset (different statistics) must miss.
-	other, err := data.ByName("rcv1")
+	other, err := NewCatalog().Dataset("rcv1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestSchedulerUsesPlanCache(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	spec := model.NewSVM()
-	ds, err := data.ByName("reuters")
+	ds, err := NewCatalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,9 +343,10 @@ func (r *Registry) loadFromStore(id string, store *ckpt.Store, counters *metrics
 
 // scorerForSnapshot rebuilds the workload-appropriate prediction path
 // for a snapshot loaded from disk: the GLM linear-score rule, the NN
-// forward pass (architecture recovered from the registered dataset),
-// or the Gibbs marginal lookup. An unknown spec or dataset degrades to
-// a nil scorer — the model lists but cannot predict.
+// forward pass (architecture read from nn's table by dataset name; no
+// dataset is built), or the Gibbs marginal lookup. An unknown spec or
+// dataset degrades to a nil scorer — the model lists but cannot
+// predict.
 func scorerForSnapshot(snap core.Snapshot) (model.Spec, Scorer) {
 	switch snap.Workload {
 	case core.WorkloadGLM:
@@ -357,7 +358,7 @@ func scorerForSnapshot(snap core.Snapshot) (model.Spec, Scorer) {
 			return model.PredictBatch(spec, x, examples)
 		}
 	case core.WorkloadNN:
-		_, sizes, err := nn.DatasetByName(snap.Dataset)
+		sizes, err := nn.Sizes(snap.Dataset)
 		if err != nil {
 			return nil, nil
 		}

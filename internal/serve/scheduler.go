@@ -462,6 +462,7 @@ type Scheduler struct {
 	counters *metrics.ServeCounters
 	plans    *PlanCache
 	models   *Registry
+	catalog  *Catalog
 	// feedback is the self-tuning optimizer's observation store; nil
 	// when Options.DisableFeedback turned the loop off.
 	feedback *tune.Store
@@ -489,6 +490,7 @@ func NewScheduler(opts Options) *Scheduler {
 		counters: opts.Counters,
 		plans:    NewPlanCache(),
 		models:   NewRegistry(),
+		catalog:  NewCatalog(),
 		feedback: opts.Feedback,
 		queue:    make(chan *job, opts.QueueDepth),
 		jobs:     map[string]*job{},
@@ -540,6 +542,10 @@ func maxStoredJobID(stores ...*ckpt.Store) int {
 // Models returns the registry completed jobs publish into.
 func (s *Scheduler) Models() *Registry { return s.models }
 
+// Catalog returns the dataset catalog every job and append resolves
+// names through.
+func (s *Scheduler) Catalog() *Catalog { return s.catalog }
+
 // Plans returns the shared plan cache.
 func (s *Scheduler) Plans() *PlanCache { return s.plans }
 
@@ -577,14 +583,14 @@ func (s *Scheduler) TraceRecorder(id string) (rec *trace.Recorder, ok bool) {
 // buildWorkload resolves the request's workload, task and dataset into
 // a fresh core.Workload (one per job: a workload binds to one engine).
 // The spec and dataset returns are non-nil for glm jobs only.
-func buildWorkload(kind core.WorkloadKind, req TrainRequest) (core.Workload, model.Spec, *data.Dataset, error) {
+func (s *Scheduler) buildWorkload(kind core.WorkloadKind, req TrainRequest) (core.Workload, model.Spec, *data.Dataset, error) {
 	switch kind {
 	case core.WorkloadGLM:
 		spec, err := model.ByName(req.Model)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		ds, err := data.ByName(req.Dataset)
+		ds, err := s.catalog.Dataset(req.Dataset)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -593,7 +599,7 @@ func buildWorkload(kind core.WorkloadKind, req TrainRequest) (core.Workload, mod
 		if req.Model != "" {
 			return nil, nil, nil, fmt.Errorf("serve: gibbs jobs take no model name (the workload is the task), got %q", req.Model)
 		}
-		g, err := factor.GraphByName(req.Dataset)
+		g, err := s.catalog.Graph(req.Dataset)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -602,7 +608,7 @@ func buildWorkload(kind core.WorkloadKind, req TrainRequest) (core.Workload, mod
 		if req.Model != "" {
 			return nil, nil, nil, fmt.Errorf("serve: nn jobs take no model name (the workload is the task), got %q", req.Model)
 		}
-		ds, sizes, err := nn.DatasetByName(req.Dataset)
+		ds, sizes, err := s.catalog.NNDataset(req.Dataset)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -723,7 +729,7 @@ func (s *Scheduler) submit(req TrainRequest, warm *core.Snapshot, resumedFrom st
 	if err != nil {
 		return "", err
 	}
-	wl, spec, ds, err := buildWorkload(kind, req)
+	wl, spec, ds, err := s.buildWorkload(kind, req)
 	if err != nil {
 		return "", err
 	}
@@ -798,7 +804,7 @@ func (s *Scheduler) submit(req TrainRequest, warm *core.Snapshot, resumedFrom st
 			// the allocation.
 			return "", fmt.Errorf("serve: online mode does not support spec %q (per-row auxiliary state)", spec.Name())
 		}
-		if handle, err = data.HandleByName(req.Dataset); err != nil {
+		if handle, err = s.catalog.Handle(req.Dataset); err != nil {
 			return "", err
 		}
 		if warm != nil && warm.DataRows > 0 {

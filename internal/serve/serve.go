@@ -15,6 +15,11 @@
 // straight to execution. Trained models leave the engine as immutable
 // core.Snapshot values and are served lock-free-read from the
 // registry; prediction is the read path, training the write path.
+// Every dataset name a request carries (generated GLM datasets, this
+// server's streams, factor graphs, NN corpora) resolves through the
+// scheduler's Catalog, which builds each name once and shares it; each
+// server owns its catalog, so servers in one process never share a
+// stream.
 //
 // The inference hot path is read-optimized separately from the
 // training path: the registry hashes model ids onto lock-striped

@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"dimmwitted/internal/core"
-	"dimmwitted/internal/data"
 	"dimmwitted/internal/factor"
 	"dimmwitted/internal/model"
-	"dimmwitted/internal/nn"
 	"dimmwitted/internal/numa"
 )
 
@@ -115,7 +113,7 @@ func TestNNJobBothExecutors(t *testing.T) {
 	// Class predictions from the registered snapshot.
 	jobs := s.Jobs()
 	id := jobs[0].ID
-	ds, _, err := nn.DatasetByName("mnist-small")
+	ds, _, err := s.Catalog().NNDataset("mnist-small")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +173,7 @@ func TestPlanCacheKeyIncludesWorkloadKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := data.ByName("reuters")
+	ds, err := NewCatalog().Dataset("reuters")
 	if err != nil {
 		t.Fatal(err)
 	}
