@@ -34,6 +34,12 @@ func BuiltinNames() []string {
 	return out
 }
 
+// IsBuiltin reports whether name is a registered dataset.
+func IsBuiltin(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // Build generates a registered dataset and wraps it in a frozen
 // handle: appends are rejected and the version is pinned at 1. Every
 // call generates a fresh instance.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -124,8 +125,10 @@ type scanner struct {
 	floats []float64
 }
 
+// ws skips whitespace. Compact bodies (what json.Marshal writes) carry
+// none, so the first byte test usually ends it.
 func (s *scanner) ws() {
-	for s.i < len(s.b) {
+	for s.i < len(s.b) && s.b[s.i] <= ' ' {
 		switch s.b[s.i] {
 		case ' ', '\t', '\n', '\r':
 			s.i++
@@ -141,9 +144,12 @@ func (s *scanner) end() bool {
 	return s.i == len(s.b)
 }
 
-// lit consumes c (after optional whitespace) if it is next.
+// lit consumes c (after optional whitespace) if it is next. It looks
+// for c before it looks for whitespace, which a compact body never has.
 func (s *scanner) lit(c byte) bool {
-	s.ws()
+	if s.i < len(s.b) && s.b[s.i] != c {
+		s.ws()
+	}
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
 		return true
@@ -175,24 +181,36 @@ func (s *scanner) str() ([]byte, bool) {
 // int parses an integer literal in one pass, accepting exactly what
 // strconv.ParseInt(lit, 10, bits) accepts of a JSON integer: no
 // leading zeros, "-0" allowed, the signed bounds exact. A fraction or
-// exponent is not canonical.
+// exponent is not canonical. One load counts and converts up to eight
+// digits (see digitPrefix); a byte loop reads the rest, which for an
+// index literal is nothing unless it lies within eight bytes of the
+// body's end.
 func (s *scanner) int(bits int) (int64, bool) {
 	s.ws()
-	neg := s.i < len(s.b) && s.b[s.i] == '-'
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
 	if neg {
-		s.i++
+		i++
 	}
-	start := s.i
+	start := i
 	var n uint64
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		n = n*10 + uint64(s.b[s.i]-'0')
-		s.i++
+	if len(b)-i >= 8 {
+		v := binary.LittleEndian.Uint64(b[i:])
+		k := digitPrefix(v)
+		// The shift drops the bytes after the digits and leaves zero
+		// digits in front of them.
+		n = digitsValue((v - asciiZeros) << uint(64-8*k))
+		i += k
 	}
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		n = n*10 + uint64(b[i]-'0')
+	}
+	s.i = i
 	// 19 digits always fit in a uint64; more never fit in an int64.
-	if d := s.i - start; d == 0 || d > 19 || (d > 1 && s.b[start] == '0') {
+	if d := i - start; d == 0 || d > 19 || (d > 1 && b[start] == '0') {
 		return 0, false
 	}
-	if s.i < len(s.b) && (s.b[s.i] == '.' || s.b[s.i] == 'e' || s.b[s.i] == 'E') {
+	if i < len(b) && (b[i] == '.' || b[i]|0x20 == 'e') {
 		return 0, false
 	}
 	limit := uint64(1) << (bits - 1)
@@ -204,7 +222,9 @@ func (s *scanner) int(bits int) (int64, bool) {
 	return int64(n), n < limit
 }
 
-// seq parses a JSON array, calling elem once per element.
+// seq parses a JSON array, calling elem once per element. The number
+// arrays have loops of their own (int32s, float64s); seq serves the
+// arrays of objects.
 func (s *scanner) seq(elem func() bool) bool {
 	if !s.lit('[') {
 		return false
@@ -287,28 +307,46 @@ func carve[E any](a []E, start int) []E {
 	return a[start:len(a):len(a)]
 }
 
+// int32s and float64s parse a number array in their own loop, not
+// through seq, so no closure runs per element.
 func (s *scanner) int32s() ([]int32, bool) {
 	start := len(s.ints)
-	ok := s.seq(func() bool {
+	if !s.lit('[') {
+		return nil, false
+	}
+	if s.lit(']') {
+		return []int32{}, true
+	}
+	for {
 		n, ok := s.int(32)
-		if ok {
-			push(&s.ints, &start, int32(n))
+		if !ok {
+			return nil, false
 		}
-		return ok
-	})
-	return carve(s.ints, start), ok
+		push(&s.ints, &start, int32(n))
+		if !s.lit(',') {
+			return carve(s.ints, start), s.lit(']')
+		}
+	}
 }
 
 func (s *scanner) float64s() ([]float64, bool) {
 	start := len(s.floats)
-	ok := s.seq(func() bool {
+	if !s.lit('[') {
+		return nil, false
+	}
+	if s.lit(']') {
+		return []float64{}, true
+	}
+	for {
 		f, ok := s.float()
-		if ok {
-			push(&s.floats, &start, f)
+		if !ok {
+			return nil, false
 		}
-		return ok
-	})
-	return carve(s.floats, start), ok
+		push(&s.floats, &start, f)
+		if !s.lit(',') {
+			return carve(s.floats, start), s.lit(']')
+		}
+	}
 }
 
 var (

@@ -719,6 +719,104 @@ func FuzzScanFloat(f *testing.F) {
 	f.Fuzz(checkScanFloat)
 }
 
+// intEdgeLiterals are scanner.int inputs at the edges of its accept
+// set: signed zeros, leading zeros, the int32 and int64 bounds and one
+// either side, 19- and 20-digit literals, runs of 7, 8 and 9 digits
+// (around one load's width), a digit run followed by a fraction or an
+// exponent, and malformed literals.
+var intEdgeLiterals = []string{
+	"0", "-0", "00", "-00", "007", "-007", "1", "-1", "7", "1234567", "12345678", "123456789",
+	"2147483646", "2147483647", "2147483648", "-2147483647", "-2147483648", "-2147483649",
+	"9223372036854775806", "9223372036854775807", "9223372036854775808",
+	"-9223372036854775807", "-9223372036854775808", "-9223372036854775809",
+	"1234567890123456789", "9999999999999999999", "-9999999999999999999",
+	"12345678901234567890", "-12345678901234567890", "99999999999999999999",
+	"1.", "1.5", "1.0", "12345678.9", "1e5", "1E5", "1e", "0.5", "-0e0", "123456789e1",
+	"1]", "1,2", " \t\r\n-7]", "", "-", "+1", "-+1", "0x10", "1_000", "x", "\u0661",
+}
+
+// checkScanInt runs scanner.int(bits) on b against two references:
+// encoding/json's decoder for where the JSON number ends, and
+// strconv.ParseInt of exactly those bytes for the accept set and the
+// value. A number JSON ends just before a digit (a 0 followed by more
+// digits) must not be claimed: taken as one literal the digit run has
+// a leading zero, which ParseInt's accept set for JSON forbids.
+func checkScanInt(t *testing.T, b []byte, bits int) {
+	t.Helper()
+	s := scanner{b: b}
+	got, ok := s.int(bits)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var v any
+	err := dec.Decode(&v)
+	num, isNum := v.(json.Number)
+	end := int(dec.InputOffset())
+	if err != nil || !isNum || (end < len(b) && b[end]-'0' < 10) {
+		if ok {
+			t.Fatalf("%.60q: int(%d) claimed %d, but it does not start with one JSON number", b, bits, got)
+		}
+		return
+	}
+	want, perr := strconv.ParseInt(string(num), 10, bits)
+	switch {
+	case perr != nil && ok:
+		t.Fatalf("%.60q: int(%d) claimed %d, but strconv.ParseInt says %v", num, bits, got, perr)
+	case perr != nil:
+		// A fraction, an exponent or out of range, and rightly not
+		// claimed.
+	case !ok:
+		t.Fatalf("%.60q: int(%d) refused a literal strconv.ParseInt reads as %d", num, bits, want)
+	case s.i != end:
+		t.Fatalf("%.60q: int(%d) cursor at %d, the number ends at %d", b, bits, s.i, end)
+	case got != want:
+		t.Fatalf("%.60q: int(%d) scanned %d, strconv.ParseInt %d", num, bits, got, want)
+	}
+}
+
+// FuzzScanInt is the differential check on the integer path, at both
+// widths the scanner reads: a claimed literal is one strconv.ParseInt
+// accepts, with its value, and ends where the JSON grammar ends. A
+// plain go test runs the edge literals as its seeds.
+func FuzzScanInt(f *testing.F) {
+	for _, lit := range intEdgeLiterals {
+		f.Add([]byte(lit))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkScanInt(t, b, 32)
+		checkScanInt(t, b, 64)
+	})
+}
+
+// TestScanNumberWindows places digit runs of 1–20 digits, alone or
+// after "-", "0." or "-1.", so that each run ends 0–8 bytes before the
+// end of the slice. The byte after the run is one either side of
+// '0'..'9' ('/' and ':'), a separator, the start of a fraction or an
+// exponent, or a non-ASCII byte; digits fill the rest of the slice and
+// its capacity past the length, so a load that read past the slice, or
+// a neighbour taken for a digit, would change the result. Every case
+// goes through checkScanFloat and checkScanInt.
+func TestScanNumberWindows(t *testing.T) {
+	for _, run := range []string{"98765432109876543210", "10000000000000000009"} {
+		for n := 1; n <= len(run); n++ {
+			for _, prefix := range []string{"", "-", "0.", "-1."} {
+				for after := 0; after <= 8; after++ {
+					for _, next := range []byte("/:,].e\x80\xff") {
+						b := []byte(prefix + run[:n])
+						if after > 0 {
+							b = append(b, next)
+							b = append(b, strings.Repeat("7", after-1)...)
+						}
+						b = append(b, "12345678"...)[:len(b)]
+						checkScanFloat(t, b)
+						checkScanInt(t, b, 32)
+						checkScanInt(t, b, 64)
+					}
+				}
+			}
+		}
+	}
+}
+
 // benchPredictBody and benchAppendBody build request bodies as the
 // serve workloads of perfbench do: data.GenerateSparse rows over 4000
 // columns (values 0.5+U[0,1)), json.Marshal'd. The predict body holds
@@ -778,6 +876,11 @@ var decodeSink int
 
 func BenchmarkDecodePredict(b *testing.B) {
 	body := benchPredictBody(b)
+	req, _ := decodePredict(body)
+	nums := 0
+	for _, ex := range req.Examples {
+		nums += len(ex.Indices) + len(ex.Values) + len(ex.Dense)
+	}
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -788,10 +891,16 @@ func BenchmarkDecodePredict(b *testing.B) {
 		}
 		decodeSink += len(req.Examples)
 	}
+	reportPerNumber(b, nums)
 }
 
 func BenchmarkDecodeAppend(b *testing.B) {
 	body := benchAppendBody(b)
+	req, _ := decodeAppend(body)
+	nums := 1 // cols
+	for _, r := range req.Rows {
+		nums += len(r.Indices) + len(r.Values) + len(r.Dense) + 1 // label
+	}
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -802,4 +911,11 @@ func BenchmarkDecodeAppend(b *testing.B) {
 		}
 		decodeSink += len(req.Rows)
 	}
+	reportPerNumber(b, nums)
+}
+
+// reportPerNumber reports the decode time per number literal in a body
+// of nums numbers, as ns/num.
+func reportPerNumber(b *testing.B, nums int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nums), "ns/num")
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -86,7 +85,7 @@ func (c *Catalog) Stream(name string, cols int, task data.Task) (*data.Handle, e
 	if cols <= 0 {
 		return nil, fmt.Errorf("data: stream %q needs cols > 0, got %d", name, cols)
 	}
-	if slices.Contains(data.BuiltinNames(), name) {
+	if data.IsBuiltin(name) {
 		return nil, fmt.Errorf("data: %q is a frozen registry dataset; pick a new name for a stream", name)
 	}
 	c.mu.Lock()

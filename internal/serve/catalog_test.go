@@ -141,3 +141,28 @@ func TestServersKeepDisjointStreams(t *testing.T) {
 		t.Fatalf("B's datasets %v list A's stream", statsB.Datasets)
 	}
 }
+
+// TestHTTPAppendToGeneratedNameBuildsNothing: an append to a generated
+// dataset's name answers 409 with or without cols, and the catalog
+// holds no built entry for the name afterwards: refusing the append
+// never generates the dataset.
+func TestHTTPAppendToGeneratedNameBuildsNothing(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	rows := []appendRowJSON{{Indices: []int32{0}, Values: []float64{1}, Label: 1}}
+	const want = `dataset "rcv1" is a frozen registry dataset; append to a new name to create a stream`
+	for _, req := range []appendRequest{{Rows: rows}, {Rows: rows, Cols: 5}} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/datasets/rcv1/append", req, &e); code != http.StatusConflict || e.Error != want {
+			t.Fatalf("append with cols %d = %d %q, want 409 %q", req.Cols, code, e.Error, want)
+		}
+	}
+	c := srv.Scheduler().Catalog()
+	c.mu.Lock()
+	_, built := c.glm["rcv1"]
+	c.mu.Unlock()
+	if built {
+		t.Fatal("a refused append left rcv1 built in the catalog")
+	}
+}

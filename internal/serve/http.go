@@ -427,13 +427,16 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("append request has no rows"))
 		return
 	}
-	h, err := s.sched.Catalog().Handle(id)
-	task, taskErr := parseTask(req.Task)
-	switch {
-	case err == nil && h.Frozen():
+	// A generated name is refused before the lookup, which would build
+	// the whole dataset only to refuse it.
+	if data.IsBuiltin(id) {
 		s.writeError(w, http.StatusConflict,
 			fmt.Errorf("dataset %q is a frozen registry dataset; append to a new name to create a stream", id))
 		return
+	}
+	h, err := s.sched.Catalog().Handle(id)
+	task, taskErr := parseTask(req.Task)
+	switch {
 	case err != nil && req.Cols <= 0:
 		s.writeError(w, http.StatusNotFound,
 			fmt.Errorf("unknown dataset %q: the first append must set cols (and optionally task) to create the stream", id))
