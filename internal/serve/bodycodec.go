@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -181,36 +180,24 @@ func (s *scanner) str() ([]byte, bool) {
 // int parses an integer literal in one pass, accepting exactly what
 // strconv.ParseInt(lit, 10, bits) accepts of a JSON integer: no
 // leading zeros, "-0" allowed, the signed bounds exact. A fraction or
-// exponent is not canonical. One load counts and converts up to eight
-// digits (see digitPrefix); a byte loop reads the rest, which for an
-// index literal is nothing unless it lies within eight bytes of the
-// body's end.
+// exponent is not canonical.
 func (s *scanner) int(bits int) (int64, bool) {
 	s.ws()
-	b, i := s.b, s.i
-	neg := i < len(b) && b[i] == '-'
+	neg := s.i < len(s.b) && s.b[s.i] == '-'
 	if neg {
-		i++
+		s.i++
 	}
-	start := i
+	start := s.i
 	var n uint64
-	if len(b)-i >= 8 {
-		v := binary.LittleEndian.Uint64(b[i:])
-		k := digitPrefix(v)
-		// The shift drops the bytes after the digits and leaves zero
-		// digits in front of them.
-		n = digitsValue((v - asciiZeros) << uint(64-8*k))
-		i += k
+	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
+		n = n*10 + uint64(s.b[s.i]-'0')
+		s.i++
 	}
-	for ; i < len(b) && b[i]-'0' < 10; i++ {
-		n = n*10 + uint64(b[i]-'0')
-	}
-	s.i = i
 	// 19 digits always fit in a uint64; more never fit in an int64.
-	if d := i - start; d == 0 || d > 19 || (d > 1 && b[start] == '0') {
+	if d := s.i - start; d == 0 || d > 19 || (d > 1 && s.b[start] == '0') {
 		return 0, false
 	}
-	if i < len(b) && (b[i] == '.' || b[i]|0x20 == 'e') {
+	if s.i < len(s.b) && (s.b[s.i] == '.' || s.b[s.i] == 'e' || s.b[s.i] == 'E') {
 		return 0, false
 	}
 	limit := uint64(1) << (bits - 1)

@@ -721,9 +721,9 @@ func FuzzScanFloat(f *testing.F) {
 
 // intEdgeLiterals are scanner.int inputs at the edges of its accept
 // set: signed zeros, leading zeros, the int32 and int64 bounds and one
-// either side, 19- and 20-digit literals, runs of 7, 8 and 9 digits
-// (around one load's width), a digit run followed by a fraction or an
-// exponent, and malformed literals.
+// either side, 19- and 20-digit literals, runs of 7, 8 and 9 digits,
+// a digit run followed by a fraction or an exponent, and malformed
+// literals.
 var intEdgeLiterals = []string{
 	"0", "-0", "00", "-00", "007", "-007", "1", "-1", "7", "1234567", "12345678", "123456789",
 	"2147483646", "2147483647", "2147483648", "-2147483647", "-2147483648", "-2147483649",
@@ -796,21 +796,23 @@ func FuzzScanInt(f *testing.F) {
 // a neighbour taken for a digit, would change the result. Every case
 // goes through checkScanFloat and checkScanInt.
 func TestScanNumberWindows(t *testing.T) {
+	// An empty tail ends the slice with the run; every other tail is
+	// one neighbour byte and 0–7 more bytes.
+	tails := []string{""}
+	for _, next := range []byte("/:,].e\x80\xff") {
+		for after := 1; after <= 8; after++ {
+			tails = append(tails, string([]byte{next})+strings.Repeat("7", after-1))
+		}
+	}
 	for _, run := range []string{"98765432109876543210", "10000000000000000009"} {
 		for n := 1; n <= len(run); n++ {
 			for _, prefix := range []string{"", "-", "0.", "-1."} {
-				for after := 0; after <= 8; after++ {
-					for _, next := range []byte("/:,].e\x80\xff") {
-						b := []byte(prefix + run[:n])
-						if after > 0 {
-							b = append(b, next)
-							b = append(b, strings.Repeat("7", after-1)...)
-						}
-						b = append(b, "12345678"...)[:len(b)]
-						checkScanFloat(t, b)
-						checkScanInt(t, b, 32)
-						checkScanInt(t, b, 64)
-					}
+				for _, tail := range tails {
+					b := []byte(prefix + run[:n] + tail)
+					b = append(b, "12345678"...)[:len(b)]
+					checkScanFloat(t, b)
+					checkScanInt(t, b, 32)
+					checkScanInt(t, b, 64)
 				}
 			}
 		}

@@ -11,30 +11,23 @@ import (
 
 // Float literals are read once: the loop that checks the JSON number
 // grammar also builds the decimal mantissa and exponent, and the value
-// is then rounded by Clinger's exact path where it applies, as
-// strconv's own parser does first, else by Eisel–Lemire (D. Lemire,
-// "Number Parsing at a Gigabyte per Second", Software: Practice and
-// Experience, 2021; https://nigeltao.github.io/blog/2020/eisel-lemire.html),
-// with strconv.ParseFloat itself as the fallback whenever it cannot
-// decide. All three are correctly rounded, so every value is bitwise
-// what strconv.ParseFloat, and so encoding/json, returns.
+// is then rounded by Eisel–Lemire (D. Lemire, "Number Parsing at a
+// Gigabyte per Second", Software: Practice and Experience, 2021;
+// https://nigeltao.github.io/blog/2020/eisel-lemire.html), with
+// strconv.ParseFloat itself as the fallback whenever it cannot decide.
+// Both are correctly rounded, so every value is bitwise what
+// strconv.ParseFloat, and so encoding/json, returns.
 //
-// Digits are read eight to a load (SWAR, "SIMD within a register",
-// from the same paper): one little-endian 64-bit load holds eight
-// bytes, the first in the lowest lane, and a few word operations check
-// and convert them all. A fraction is read eight digits at a time while
-// eight fit in the 19-digit budget, and a byte loop reads the tail;
-// scanner.int counts and converts the digits of one word at once. The
-// integer part of a float stays a byte loop: JSON-encoded values near
-// 1 put one digit there, and routing it through the word loop measured
-// slower.
+// A fraction's digits are read eight to a load (SWAR, "SIMD within a
+// register", from the same paper): one little-endian 64-bit load holds
+// eight bytes, the first in the lowest lane, and a few word operations
+// check and convert them all. The word loop runs while eight digits fit
+// in the 19-digit budget, and a byte loop reads the tail. The integer
+// part of a float stays a byte loop: JSON-encoded values near 1 put one
+// digit there, and routing it through the word loop measured slower.
 
-// asciiZeros is eight '0' bytes, and laneTops the top bit of every
-// lane.
-const (
-	asciiZeros = 0x3030303030303030
-	laneTops   = 0x8080808080808080
-)
+// asciiZeros is eight '0' bytes.
+const asciiZeros = 0x3030303030303030
 
 // allDigits reports whether all eight bytes of v are ASCII digits: a
 // byte passes when it and the byte plus 6 both have high nibble 3,
@@ -43,18 +36,6 @@ const (
 // can make a word pass.
 func allDigits(v uint64) bool {
 	return v&(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0 == asciiZeros
-}
-
-// digitPrefix returns how many of v's bytes, from the lowest lane up,
-// are ASCII digits before the first that is not; 8 when all are. The
-// sums work on each byte's low seven bits, so no lane carries into the
-// next, and a byte with its top bit set is no digit.
-func digitPrefix(v uint64) int {
-	low := v &^ laneTops
-	atLeast0 := low + 0x5050505050505050 // top bit set where low >= '0'
-	above9 := low + 0x4646464646464646   // top bit set where low > '9'
-	notDigit := (v | above9 | ^atLeast0) & laneTops
-	return bits.TrailingZeros64(notDigit) >> 3
 }
 
 // digitsValue returns the number the eight digit values 0–9 in v's
@@ -145,24 +126,7 @@ func (s *scanner) float() (float64, bool) {
 		exp += e
 	}
 	s.i = i
-	switch {
-	case trunc:
-		// A nonzero digit past the 19th: only strconv rounds it.
-	case man <= 1<<53 && -22 <= exp && exp <= 22:
-		// Clinger's exact path: man and 10^|exp| are exact float64s,
-		// so one IEEE multiply or divide rounds their product
-		// correctly.
-		f := float64(man)
-		if exp < 0 {
-			f /= float64pow10[-exp]
-		} else {
-			f *= float64pow10[exp]
-		}
-		if neg {
-			f = -f
-		}
-		return f, true
-	default:
+	if !trunc {
 		if f, ok := eiselLemire64(man, exp, neg); ok {
 			return f, true
 		}
@@ -170,9 +134,6 @@ func (s *scanner) float() (float64, bool) {
 	f, err := strconv.ParseFloat(string(b[start:i]), 64)
 	return f, err == nil
 }
-
-// float64pow10 holds the powers of ten a float64 represents exactly.
-var float64pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // eiselLemire64 returns man·10^exp10 correctly rounded, or false when
 // it cannot decide: a halfway or too-narrow product, a subnormal or
