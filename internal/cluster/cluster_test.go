@@ -7,6 +7,7 @@ import (
 
 	"dimmwitted/internal/core"
 	"dimmwitted/internal/data"
+	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
 	"dimmwitted/internal/serve"
@@ -284,7 +285,7 @@ func TestClusterFailoverMidRun(t *testing.T) {
 	// The absorbing peers' counters recorded the failover.
 	total := int64(0)
 	for _, p := range coord.Peers() {
-		total += p.Counters.Failovers
+		total += p.Counters.Counts[metrics.PeerFailovers]
 	}
 	if total == 0 {
 		t.Fatal("no peer counter recorded the absorbed shard")

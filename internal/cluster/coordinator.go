@@ -677,7 +677,7 @@ func (c *Coordinator) failover(j *clusterJob, sh *shard, cols int, task string, 
 	j.failovers++
 	j.mu.Unlock()
 	if ps := c.peer(sh.owner); ps != nil {
-		ps.counters.Failover()
+		ps.counters.Inc(metrics.PeerFailovers)
 	}
 	return c.pushShard(j, sh, cols, task)
 }
@@ -701,9 +701,9 @@ func (c *Coordinator) Predict(modelID string, examples []Example) ([]float64, st
 			lastErr = err
 			continue
 		}
-		ps.counters.ProxiedPredict()
+		ps.counters.Inc(metrics.PeerProxiedPredicts)
 		if i > 0 {
-			ps.counters.ProxyFallback()
+			ps.counters.Inc(metrics.PeerProxyFallbacks)
 		}
 		return preds, addr, nil
 	}

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"dimmwitted/internal/metrics"
 )
 
 // Handler is the coordinator's HTTP front end.
@@ -164,68 +166,31 @@ func (h *Handler) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the Prometheus text exposition for the
 // coordinator: pool/ring gauges plus every peer's cluster counters.
-// (serve's exposition writer is unexported; the format is three line
-// shapes, so the coordinator carries its own.)
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	family := func(name, help, typ string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	sample := func(name, peer string, v float64) {
-		if peer != "" {
-			fmt.Fprintf(&b, "%s{peer=%q} %g\n", name, esc.Replace(peer), v)
-		} else {
-			fmt.Fprintf(&b, "%s %g\n", name, v)
-		}
-	}
+	p := metrics.NewPromWriter(w)
 
 	peers := h.coord.Peers()
 	alive := 0
-	for _, p := range peers {
-		if p.Alive {
+	series := make([]metrics.CounterSeries, len(peers))
+	for i, ps := range peers {
+		if ps.Alive {
 			alive++
 		}
+		series[i] = metrics.CounterSeries{Labels: "{" + metrics.PromLabel("peer", ps.Addr) + "}", Values: ps.Counters.Counts[:]}
 	}
-	family("dwcoord_peers", "Known peers in the pool.", "gauge")
-	sample("dwcoord_peers", "", float64(len(peers)))
-	family("dwcoord_peers_alive", "Peers currently on the serving ring.", "gauge")
-	sample("dwcoord_peers_alive", "", float64(alive))
-	family("dwcoord_uptime_seconds", "Seconds since the coordinator started.", "gauge")
-	sample("dwcoord_uptime_seconds", "", math.Round(time.Since(h.started).Seconds()))
+	p.Gauge("dwcoord_peers", "Known peers in the pool.", float64(len(peers)))
+	p.Gauge("dwcoord_peers_alive", "Peers currently on the serving ring.", float64(alive))
+	p.Gauge("dwcoord_uptime_seconds", "Seconds since the coordinator started.", math.Round(time.Since(h.started).Seconds()))
 
-	jobs := h.coord.Jobs()
 	byState := map[string]int{}
-	for _, j := range jobs {
+	for _, j := range h.coord.Jobs() {
 		byState[j.State]++
 	}
-	family("dwcoord_jobs", "Cluster jobs by state.", "gauge")
+	p.Family("dwcoord_jobs", "Cluster jobs by state.", "gauge")
 	for _, st := range []string{JobQueued, JobRunning, JobDone, JobFailed} {
-		fmt.Fprintf(&b, "dwcoord_jobs{state=%q} %d\n", st, byState[st])
+		p.Sample("dwcoord_jobs", "{"+metrics.PromLabel("state", st)+"}", float64(byState[st]))
 	}
 
-	type counterCol struct {
-		name, help string
-		get        func(p PeerStatus) int64
-	}
-	cols := []counterCol{
-		{"dwcoord_peer_rounds_total", "Training rounds completed per peer.", func(p PeerStatus) int64 { return p.Counters.Rounds }},
-		{"dwcoord_peer_epochs_total", "Shard epochs trained per peer.", func(p PeerStatus) int64 { return p.Counters.Epochs }},
-		{"dwcoord_peer_shard_rows_total", "Shard rows shipped to each peer.", func(p PeerStatus) int64 { return p.Counters.ShardRows }},
-		{"dwcoord_peer_shard_bytes_total", "Shard bytes shipped to each peer.", func(p PeerStatus) int64 { return p.Counters.ShardBytes }},
-		{"dwcoord_peer_replica_pulls_total", "Model replicas pulled from each peer.", func(p PeerStatus) int64 { return p.Counters.ReplicaPulls }},
-		{"dwcoord_peer_replica_pushes_total", "Model replicas pushed to each peer.", func(p PeerStatus) int64 { return p.Counters.ReplicaPushes }},
-		{"dwcoord_peer_replica_bytes_total", "Snapshot bytes moved to/from each peer.", func(p PeerStatus) int64 { return p.Counters.ReplicaBytes }},
-		{"dwcoord_peer_failovers_total", "Shards absorbed from dead peers.", func(p PeerStatus) int64 { return p.Counters.Failovers }},
-		{"dwcoord_peer_proxied_predicts_total", "Predictions proxied to each peer.", func(p PeerStatus) int64 { return p.Counters.ProxiedPreds }},
-		{"dwcoord_peer_proxy_fallbacks_total", "Predictions answered as a ring successor.", func(p PeerStatus) int64 { return p.Counters.ProxyFallback }},
-	}
-	for _, col := range cols {
-		family(col.name, col.help, "counter")
-		for _, p := range peers {
-			sample(col.name, p.Addr, float64(col.get(p)))
-		}
-	}
-	_, _ = w.Write([]byte(b.String()))
+	p.Counters("dwcoord_peer_", metrics.ClusterTable(), series...)
 }

@@ -1,5 +1,44 @@
 package metrics
 
+// ClusterCounter indexes one per-peer cluster counter: a row of
+// clusterTable and a slot of ClusterCounters and ClusterSnapshot.Counts.
+type ClusterCounter int
+
+// The per-peer cluster counters, in exposition order.
+const (
+	PeerRounds ClusterCounter = iota
+	PeerEpochs
+	PeerShardRows
+	PeerShardBytes
+	PeerReplicaPulls
+	PeerReplicaPushes
+	PeerReplicaBytes
+	PeerFailovers
+	PeerProxiedPredicts
+	PeerProxyFallbacks
+	numClusterCounters
+)
+
+// clusterTable is the one declaration of every per-peer counter:
+// /v1/cluster/peers reports counters.<key> and /metrics
+// dwcoord_peer_<key>_total{peer=...}.
+var clusterTable = [numClusterCounters]CounterDesc{
+	PeerRounds:          {"rounds", "Training rounds completed per peer."},
+	PeerEpochs:          {"epochs", "Shard epochs trained per peer."},
+	PeerShardRows:       {"shard_rows", "Shard rows shipped to each peer."},
+	PeerShardBytes:      {"shard_bytes", "Shard bytes shipped to each peer."},
+	PeerReplicaPulls:    {"replica_pulls", "Model replicas pulled from each peer."},
+	PeerReplicaPushes:   {"replica_pushes", "Model replicas pushed to each peer."},
+	PeerReplicaBytes:    {"replica_bytes", "Snapshot bytes moved to/from each peer."},
+	PeerFailovers:       {"failovers", "Shards absorbed from dead peers."},
+	PeerProxiedPredicts: {"proxied_predicts", "Predictions proxied to each peer."},
+	PeerProxyFallbacks:  {"proxy_fallbacks", "Predictions answered as a ring successor."},
+}
+
+// ClusterTable returns the per-peer counters' declarations, indexed by
+// ClusterCounter. Callers must not modify it.
+func ClusterTable() []CounterDesc { return clusterTable[:] }
+
 // ClusterCounters are the coordinator's monotonically increasing
 // counters for one peer: training rounds driven, shard rows and model
 // bytes moved over the wire, and failovers absorbed. The coordinator
@@ -8,85 +47,56 @@ package metrics
 // ready. Padding as in ServeCounters — the transfer counters are
 // bumped from concurrent per-peer round goroutines.
 type ClusterCounters struct {
-	epochs        counter
-	rounds        counter
-	shardRows     counter
-	shardBytes    counter
-	replicaPulls  counter
-	replicaPushes counter
-	replicaBytes  counter
-	failovers     counter
-	proxied       counter
-	proxyFallback counter
+	counts [numClusterCounters]counter
 }
+
+// Inc records one event of counter k.
+func (c *ClusterCounters) Inc(k ClusterCounter) { c.counts[k].Add(1) }
 
 // Round records one completed training round that advanced the peer's
 // engine by epochs epochs.
 func (c *ClusterCounters) Round(epochs int) {
-	c.rounds.Add(1)
-	c.epochs.Add(int64(epochs))
+	c.counts[PeerRounds].Add(1)
+	c.counts[PeerEpochs].Add(int64(epochs))
 }
 
 // ShardPush records rows rows (bytes encoded bytes) shipped to the
 // peer over the append API.
 func (c *ClusterCounters) ShardPush(rows, bytes int) {
-	c.shardRows.Add(int64(rows))
-	c.shardBytes.Add(int64(bytes))
+	c.counts[PeerShardRows].Add(int64(rows))
+	c.counts[PeerShardBytes].Add(int64(bytes))
 }
 
 // ReplicaPull records one model snapshot of n bytes fetched from the
 // peer.
 func (c *ClusterCounters) ReplicaPull(n int) {
-	c.replicaPulls.Add(1)
-	c.replicaBytes.Add(int64(n))
+	c.counts[PeerReplicaPulls].Add(1)
+	c.counts[PeerReplicaBytes].Add(int64(n))
 }
 
 // ReplicaPush records one model snapshot of n bytes installed on the
 // peer.
 func (c *ClusterCounters) ReplicaPush(n int) {
-	c.replicaPushes.Add(1)
-	c.replicaBytes.Add(int64(n))
+	c.counts[PeerReplicaPushes].Add(1)
+	c.counts[PeerReplicaBytes].Add(int64(n))
 }
 
-// Failover records this peer absorbing a dead peer's shard.
-func (c *ClusterCounters) Failover() { c.failovers.Add(1) }
-
-// ProxiedPredict records one /v1/predict forwarded to this peer as
-// the ring owner.
-func (c *ClusterCounters) ProxiedPredict() { c.proxied.Add(1) }
-
-// ProxyFallback records one predict re-routed to this peer because a
-// ring predecessor was unreachable.
-func (c *ClusterCounters) ProxyFallback() { c.proxyFallback.Add(1) }
-
-// ClusterSnapshot is a point-in-time copy of one peer's counters,
-// shaped for JSON export.
+// ClusterSnapshot is a point-in-time copy of one peer's counters. It
+// encodes to JSON as one object keyed by clusterTable.
 type ClusterSnapshot struct {
-	Rounds        int64 `json:"rounds"`
-	Epochs        int64 `json:"epochs"`
-	ShardRows     int64 `json:"shard_rows"`
-	ShardBytes    int64 `json:"shard_bytes"`
-	ReplicaPulls  int64 `json:"replica_pulls"`
-	ReplicaPushes int64 `json:"replica_pushes"`
-	ReplicaBytes  int64 `json:"replica_bytes"`
-	Failovers     int64 `json:"failovers"`
-	ProxiedPreds  int64 `json:"proxied_predicts"`
-	ProxyFallback int64 `json:"proxy_fallbacks"`
+	// Counts holds each counter's value, indexed by ClusterCounter.
+	Counts [numClusterCounters]int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting: each field
 // is read atomically, the set is not a single linearization point.
 func (c *ClusterCounters) Snapshot() ClusterSnapshot {
-	return ClusterSnapshot{
-		Rounds:        c.rounds.Load(),
-		Epochs:        c.epochs.Load(),
-		ShardRows:     c.shardRows.Load(),
-		ShardBytes:    c.shardBytes.Load(),
-		ReplicaPulls:  c.replicaPulls.Load(),
-		ReplicaPushes: c.replicaPushes.Load(),
-		ReplicaBytes:  c.replicaBytes.Load(),
-		Failovers:     c.failovers.Load(),
-		ProxiedPreds:  c.proxied.Load(),
-		ProxyFallback: c.proxyFallback.Load(),
-	}
+	var s ClusterSnapshot
+	loadCounts(c.counts[:], s.Counts[:])
+	return s
+}
+
+// MarshalJSON implements json.Marshaler.
+func (s ClusterSnapshot) MarshalJSON() ([]byte, error) {
+	return append(appendCounts([]byte{'{'}, clusterTable[:], s.Counts[:]), '}'), nil
 }

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -16,79 +19,109 @@ type counter struct {
 	_ [56]byte
 }
 
+// CounterDesc declares one counter of a set: Key names it in the
+// set's JSON object and, as <prefix><Key>_total, its Prometheus
+// family; Help is that family's HELP text.
+type CounterDesc struct {
+	Key, Help string
+}
+
+// ServeCounter indexes one serving counter: a row of serveTable and a
+// slot of ServeCounters and ServeSnapshot.Counts.
+type ServeCounter int
+
+// The serving counters, in exposition order.
+const (
+	TrainRequests ServeCounter = iota
+	PredictRequests
+	Predictions
+	JobsEnqueued
+	JobsDone
+	JobsFailed
+	JobsCancelled
+	PlanCacheHits
+	PlanCacheMisses
+	HTTPErrors
+	GibbsSweeps
+	GibbsSamples
+	NNEpochs
+	NNExamples
+	CheckpointWrites
+	CheckpointBytes
+	CheckpointRestores
+	CheckpointErrors
+	AppendRequests
+	RowsAppended
+	DatasetVersions
+	ShadowEvals
+	ModelsPromoted
+	ModelsRolledBack
+	OnlineAdopts
+	numServeCounters
+)
+
+// serveTable is the one declaration of every serving counter: /v1/stats
+// reports counters.<key> and /metrics dimmwitted_<key>_total.
+var serveTable = [numServeCounters]CounterDesc{
+	TrainRequests:      {"train_requests", "Accepted training requests."},
+	PredictRequests:    {"predict_requests", "Prediction requests served."},
+	Predictions:        {"predictions", "Individual predictions returned."},
+	JobsEnqueued:       {"jobs_enqueued", "Jobs entering the queue."},
+	JobsDone:           {"jobs_done", "Jobs finished successfully."},
+	JobsFailed:         {"jobs_failed", "Jobs ended in an error."},
+	JobsCancelled:      {"jobs_cancelled", "Jobs cancelled before completion."},
+	PlanCacheHits:      {"plan_cache_hits", "Optimizer invocations skipped by the plan cache."},
+	PlanCacheMisses:    {"plan_cache_misses", "Cost-based optimizer runs."},
+	HTTPErrors:         {"http_errors", "Requests answered with a non-2xx status."},
+	GibbsSweeps:        {"gibbs_sweeps", "Full Gibbs chain sweeps."},
+	GibbsSamples:       {"gibbs_samples", "Gibbs variable samples drawn."},
+	NNEpochs:           {"nn_epochs", "Network-training epochs."},
+	NNExamples:         {"nn_examples", "Examples back-propagated."},
+	CheckpointWrites:   {"checkpoint_writes", "Durable snapshot writes."},
+	CheckpointBytes:    {"checkpoint_bytes", "Bytes written to durable snapshots."},
+	CheckpointRestores: {"checkpoint_restores", "States restored from durable snapshots."},
+	CheckpointErrors:   {"checkpoint_errors", "Failed checkpoint writes or restores."},
+	AppendRequests:     {"append_requests", "Accepted dataset-append chunks."},
+	RowsAppended:       {"rows_appended", "Rows ingested through dataset appends."},
+	DatasetVersions:    {"dataset_versions", "Dataset views published by appends."},
+	ShadowEvals:        {"shadow_evals", "Candidate models shadow-evaluated on a held-out tail."},
+	ModelsPromoted:     {"models_promoted", "Candidates that passed shadow evaluation and went live."},
+	ModelsRolledBack:   {"models_rolled_back", "Regressing canaries rejected by shadow evaluation."},
+	OnlineAdopts:       {"online_adopts", "Grown dataset views adopted by running online jobs."},
+}
+
+// ServeTable returns the serving counters' declarations, indexed by
+// ServeCounter. Callers must not modify it.
+func ServeTable() []CounterDesc { return serveTable[:] }
+
 // ServeCounters are the serving subsystem's monotonically increasing
 // operation counters. All methods are safe for concurrent use; the
 // zero value is ready.
 type ServeCounters struct {
-	trainRequests   counter
-	predictRequests counter
-	predictions     counter
-	jobsEnqueued    counter
-	jobsDone        counter
-	jobsFailed      counter
-	jobsCancelled   counter
-	planCacheHits   counter
-	planCacheMisses counter
-	httpErrors      counter
-	gibbsSweeps     counter
-	gibbsSamples    counter
+	counts [numServeCounters]counter
 	// The throughput rate is computed over parallel-executor epochs
 	// only (simulated epochs' wall clock measures the cost simulator,
 	// not sampling), so their samples and wall time accumulate apart.
 	gibbsParSamples counter
 	gibbsWallNanos  counter
-	nnEpochs        counter
-	nnExamples      counter
-	ckptWrites      counter
-	ckptBytes       counter
-	ckptRestores    counter
-	ckptErrors      counter
-	appendRequests  counter
-	rowsAppended    counter
-	datasetVersions counter
-	shadowEvals     counter
-	modelsPromoted  counter
-	modelsRolledBck counter
-	onlineAdopts    counter
 }
 
-// TrainRequest records one accepted training request.
-func (c *ServeCounters) TrainRequest() { c.trainRequests.Add(1) }
+// Inc records one event of counter k.
+func (c *ServeCounters) Inc(k ServeCounter) { c.counts[k].Add(1) }
 
 // PredictRequest records one prediction request serving n examples.
 func (c *ServeCounters) PredictRequest(n int) {
-	c.predictRequests.Add(1)
-	c.predictions.Add(int64(n))
+	c.counts[PredictRequests].Add(1)
+	c.counts[Predictions].Add(int64(n))
 }
-
-// JobEnqueued records one job entering the queue.
-func (c *ServeCounters) JobEnqueued() { c.jobsEnqueued.Add(1) }
-
-// JobDone records one job finishing successfully.
-func (c *ServeCounters) JobDone() { c.jobsDone.Add(1) }
-
-// JobFailed records one job ending in an error.
-func (c *ServeCounters) JobFailed() { c.jobsFailed.Add(1) }
-
-// JobCancelled records one job cancelled before completion.
-func (c *ServeCounters) JobCancelled() { c.jobsCancelled.Add(1) }
-
-// PlanCacheHit records one optimizer invocation skipped.
-func (c *ServeCounters) PlanCacheHit() { c.planCacheHits.Add(1) }
-
-// PlanCacheMiss records one cost-based optimizer run.
-func (c *ServeCounters) PlanCacheMiss() { c.planCacheMisses.Add(1) }
-
-// HTTPError records one request answered with a non-2xx status.
-func (c *ServeCounters) HTTPError() { c.httpErrors.Add(1) }
 
 // GibbsEpoch records one Gibbs epoch: sweeps chains each completed a
 // full sweep drawing samples variable samples. wall is the epoch's
 // measured sampling time for parallel-executor epochs and zero for
 // simulated ones, whose wall clock is simulator overhead.
 func (c *ServeCounters) GibbsEpoch(sweeps int, samples int64, wall time.Duration) {
-	c.gibbsSweeps.Add(int64(sweeps))
-	c.gibbsSamples.Add(samples)
+	c.counts[GibbsSweeps].Add(int64(sweeps))
+	c.counts[GibbsSamples].Add(samples)
 	if wall > 0 {
 		c.gibbsParSamples.Add(samples)
 		c.gibbsWallNanos.Add(int64(wall))
@@ -97,125 +130,99 @@ func (c *ServeCounters) GibbsEpoch(sweeps int, samples int64, wall time.Duration
 
 // NNEpoch records one network-training epoch over examples examples.
 func (c *ServeCounters) NNEpoch(examples int64) {
-	c.nnEpochs.Add(1)
-	c.nnExamples.Add(examples)
+	c.counts[NNEpochs].Add(1)
+	c.counts[NNExamples].Add(examples)
 }
 
 // CheckpointWrite records one durable snapshot write of n bytes (a
 // mid-training job checkpoint or a registry model persist).
 func (c *ServeCounters) CheckpointWrite(n int) {
-	c.ckptWrites.Add(1)
-	c.ckptBytes.Add(int64(n))
+	c.counts[CheckpointWrites].Add(1)
+	c.counts[CheckpointBytes].Add(int64(n))
 }
-
-// CheckpointRestore records one engine or registry state restored from
-// a durable snapshot (warm start, job resume, lazy model load).
-func (c *ServeCounters) CheckpointRestore() { c.ckptRestores.Add(1) }
-
-// CheckpointError records one failed checkpoint write or restore.
-func (c *ServeCounters) CheckpointError() { c.ckptErrors.Add(1) }
 
 // AppendRequest records one accepted dataset-append request ingesting
 // n rows, which published one new dataset version.
 func (c *ServeCounters) AppendRequest(n int) {
-	c.appendRequests.Add(1)
-	c.rowsAppended.Add(int64(n))
-	c.datasetVersions.Add(1)
+	c.counts[AppendRequests].Add(1)
+	c.counts[RowsAppended].Add(int64(n))
+	c.counts[DatasetVersions].Add(1)
 }
 
-// ShadowEval records one candidate model evaluated on a held-out tail.
-func (c *ServeCounters) ShadowEval() { c.shadowEvals.Add(1) }
-
-// ModelPromoted records one candidate that passed shadow evaluation
-// and was swapped live.
-func (c *ServeCounters) ModelPromoted() { c.modelsPromoted.Add(1) }
-
-// ModelRolledBack records one candidate rejected by shadow evaluation:
-// the previously promoted version stays live.
-func (c *ServeCounters) ModelRolledBack() { c.modelsRolledBck.Add(1) }
-
-// OnlineAdopt records one online job adopting a grown dataset view
-// between epochs.
-func (c *ServeCounters) OnlineAdopt() { c.onlineAdopts.Add(1) }
-
-// ServeSnapshot is a point-in-time copy of the counters, shaped for
-// JSON export by the stats endpoint.
+// ServeSnapshot is a point-in-time copy of the counters. It encodes to
+// JSON as one object: every serveTable key, then the derived
+// gibbs_samples_per_sec.
 type ServeSnapshot struct {
-	TrainRequests   int64 `json:"train_requests"`
-	PredictRequests int64 `json:"predict_requests"`
-	Predictions     int64 `json:"predictions"`
-	JobsEnqueued    int64 `json:"jobs_enqueued"`
-	JobsDone        int64 `json:"jobs_done"`
-	JobsFailed      int64 `json:"jobs_failed"`
-	JobsCancelled   int64 `json:"jobs_cancelled"`
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	HTTPErrors      int64 `json:"http_errors"`
-	// GibbsSweeps counts full chain sweeps; GibbsSamples counts
-	// variable samples; GibbsSamplesPerSec is the cumulative sampling
-	// throughput of parallel-executor epochs over their measured wall
-	// time (zero until a parallel gibbs job has run).
-	GibbsSweeps        int64   `json:"gibbs_sweeps"`
-	GibbsSamples       int64   `json:"gibbs_samples"`
-	GibbsSamplesPerSec float64 `json:"gibbs_samples_per_sec"`
-	// NNEpochs counts network-training epochs; NNExamples the examples
-	// back-propagated.
-	NNEpochs   int64 `json:"nn_epochs"`
-	NNExamples int64 `json:"nn_examples"`
-	// CheckpointWrites/Bytes count durable snapshot writes (job
-	// checkpoints and persisted registry models); CheckpointRestores
-	// counts states restored from them (warm starts, job resumes, lazy
-	// model loads); CheckpointErrors counts failed writes or restores.
-	CheckpointWrites   int64 `json:"checkpoint_writes"`
-	CheckpointBytes    int64 `json:"checkpoint_bytes"`
-	CheckpointRestores int64 `json:"checkpoint_restores"`
-	CheckpointErrors   int64 `json:"checkpoint_errors"`
-	// AppendRequests/RowsAppended/DatasetVersions count streaming
-	// ingestion: accepted append chunks, rows ingested, and dataset
-	// views published. ShadowEvals/ModelsPromoted/ModelsRolledBack
-	// count the online canary gate; OnlineAdopts counts grown views
-	// adopted by running online jobs.
-	AppendRequests   int64 `json:"append_requests"`
-	RowsAppended     int64 `json:"rows_appended"`
-	DatasetVersions  int64 `json:"dataset_versions"`
-	ShadowEvals      int64 `json:"shadow_evals"`
-	ModelsPromoted   int64 `json:"models_promoted"`
-	ModelsRolledBack int64 `json:"models_rolled_back"`
-	OnlineAdopts     int64 `json:"online_adopts"`
+	// Counts holds each counter's value, indexed by ServeCounter.
+	Counts [numServeCounters]int64
+	// GibbsSamplesPerSec is the cumulative sampling throughput of
+	// parallel-executor epochs over their measured wall time (zero
+	// until a parallel gibbs job has run).
+	GibbsSamplesPerSec float64
 }
+
+// gibbsRateKey is the JSON key of the derived sampling rate.
+const gibbsRateKey = "gibbs_samples_per_sec"
 
 // Snapshot returns a consistent-enough copy for reporting: each field
 // is read atomically, the set is not a single linearization point.
 func (c *ServeCounters) Snapshot() ServeSnapshot {
-	s := ServeSnapshot{
-		TrainRequests:      c.trainRequests.Load(),
-		PredictRequests:    c.predictRequests.Load(),
-		Predictions:        c.predictions.Load(),
-		JobsEnqueued:       c.jobsEnqueued.Load(),
-		JobsDone:           c.jobsDone.Load(),
-		JobsFailed:         c.jobsFailed.Load(),
-		JobsCancelled:      c.jobsCancelled.Load(),
-		PlanCacheHits:      c.planCacheHits.Load(),
-		PlanCacheMisses:    c.planCacheMisses.Load(),
-		HTTPErrors:         c.httpErrors.Load(),
-		GibbsSweeps:        c.gibbsSweeps.Load(),
-		GibbsSamples:       c.gibbsSamples.Load(),
-		NNEpochs:           c.nnEpochs.Load(),
-		NNExamples:         c.nnExamples.Load(),
-		CheckpointWrites:   c.ckptWrites.Load(),
-		CheckpointBytes:    c.ckptBytes.Load(),
-		CheckpointRestores: c.ckptRestores.Load(),
-		CheckpointErrors:   c.ckptErrors.Load(),
-		AppendRequests:     c.appendRequests.Load(),
-		RowsAppended:       c.rowsAppended.Load(),
-		DatasetVersions:    c.datasetVersions.Load(),
-		ShadowEvals:        c.shadowEvals.Load(),
-		ModelsPromoted:     c.modelsPromoted.Load(),
-		ModelsRolledBack:   c.modelsRolledBck.Load(),
-		OnlineAdopts:       c.onlineAdopts.Load(),
-	}
+	var s ServeSnapshot
+	loadCounts(c.counts[:], s.Counts[:])
 	if nanos := c.gibbsWallNanos.Load(); nanos > 0 {
 		s.GibbsSamplesPerSec = float64(c.gibbsParSamples.Load()) / (float64(nanos) / float64(time.Second))
 	}
 	return s
+}
+
+// MarshalJSON implements json.Marshaler.
+func (s ServeSnapshot) MarshalJSON() ([]byte, error) {
+	rate, err := json.Marshal(s.GibbsSamplesPerSec)
+	if err != nil {
+		return nil, err
+	}
+	b := appendCounts([]byte{'{'}, serveTable[:], s.Counts[:])
+	b = append(b, `,"`+gibbsRateKey+`":`...)
+	return append(append(b, rate...), '}'), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler; keys it does not know
+// are ignored.
+func (s *ServeSnapshot) UnmarshalJSON(b []byte) error {
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	for i, d := range serveTable {
+		if raw, ok := m[d.Key]; ok {
+			if err := json.Unmarshal(raw, &s.Counts[i]); err != nil {
+				return fmt.Errorf("metrics: counter %s: %w", d.Key, err)
+			}
+		}
+	}
+	if raw, ok := m[gibbsRateKey]; ok {
+		return json.Unmarshal(raw, &s.GibbsSamplesPerSec)
+	}
+	return nil
+}
+
+// loadCounts reads each counter atomically into dst.
+func loadCounts(src []counter, dst []int64) {
+	for i := range src {
+		dst[i] = src[i].Load()
+	}
+}
+
+// appendCounts appends "key":value pairs, one per table row, without
+// the enclosing braces.
+func appendCounts(b []byte, table []CounterDesc, counts []int64) []byte {
+	for i, d := range table {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, d.Key)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, counts[i], 10)
+	}
+	return b
 }

@@ -15,6 +15,7 @@ import (
 
 	"dimmwitted/internal/core"
 	"dimmwitted/internal/data"
+	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 )
 
@@ -562,9 +563,9 @@ func TestHTTPPredictNonFiniteIs500(t *testing.T) {
 			t.Errorf("model %q: status %d, error %q (decode err %v), want 500 naming the NaN", id, resp.StatusCode, e.Error, err)
 		}
 		after := srv.counters.Snapshot()
-		if after.HTTPErrors != before.HTTPErrors+1 || after.PredictRequests != before.PredictRequests {
+		if after.Counts[metrics.HTTPErrors] != before.Counts[metrics.HTTPErrors]+1 || after.Counts[metrics.PredictRequests] != before.Counts[metrics.PredictRequests] {
 			t.Errorf("model %q: http_errors %d -> %d, predict_requests %d -> %d; want one error, no served predict",
-				id, before.HTTPErrors, after.HTTPErrors, before.PredictRequests, after.PredictRequests)
+				id, before.Counts[metrics.HTTPErrors], after.Counts[metrics.HTTPErrors], before.Counts[metrics.PredictRequests], after.Counts[metrics.PredictRequests])
 		}
 	}
 }

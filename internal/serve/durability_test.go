@@ -13,6 +13,7 @@ import (
 
 	"dimmwitted/internal/ckpt"
 	"dimmwitted/internal/core"
+	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
 )
@@ -368,7 +369,7 @@ func TestRegistryPersistsAcrossRestart(t *testing.T) {
 	if len(infos) != 1 || infos[0].ID != id || infos[0].Spec != "svm" {
 		t.Fatalf("restarted listing: %+v", infos)
 	}
-	if s2.Counters().Snapshot().CheckpointRestores == 0 {
+	if s2.Counters().Snapshot().Counts[metrics.CheckpointRestores] == 0 {
 		t.Fatal("lazy load did not count a checkpoint restore")
 	}
 }

@@ -208,4 +208,15 @@ func TestFeedbackDisabled(t *testing.T) {
 	if st.PredictedSecondsPerEpoch != 0 {
 		t.Fatalf("predicted = %v with feedback off, want 0", st.PredictedSecondsPerEpoch)
 	}
+	ds, err := s.Catalog().Dataset("reuters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := core.ChooseWorkload(core.NewGLM(model.NewSVM(), ds), numa.Local2, core.ExecSimulated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Plan != static.String() {
+		t.Fatalf("executed plan %q, want the static optimizer's %q", st.Plan, static.String())
+	}
 }

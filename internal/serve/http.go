@@ -111,7 +111,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) bool {
 	defer putBuf(buf)
 	err := json.NewEncoder(buf).Encode(v)
 	if err != nil {
-		s.counters.HTTPError()
+		s.counters.Inc(metrics.HTTPErrors)
 		code = http.StatusInternalServerError
 		buf.Reset()
 		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
@@ -126,7 +126,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) bool {
 
 // writeError writes a JSON error envelope and counts it.
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
-	s.counters.HTTPError()
+	s.counters.Inc(metrics.HTTPErrors)
 	s.writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
@@ -170,7 +170,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.counters.TrainRequest()
+	s.counters.Inc(metrics.TrainRequests)
 	s.writeJSON(w, http.StatusAccepted, trainResponse{
 		JobID:  id,
 		Status: "/v1/jobs/" + id,
@@ -265,7 +265,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, code, err)
 		return
 	}
-	s.counters.TrainRequest()
+	s.counters.Inc(metrics.TrainRequests)
 	s.writeJSON(w, http.StatusAccepted, resumeResponse{
 		JobID:       newID,
 		Status:      "/v1/jobs/" + newID,

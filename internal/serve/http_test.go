@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dimmwitted/internal/core"
+	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/nn"
 	"dimmwitted/internal/numa"
@@ -174,7 +175,7 @@ func TestHTTPTrainPredictRoundTrip(t *testing.T) {
 		t.Fatal("GET /v1/stats failed")
 	}
 	c := stats.Counters
-	if c.TrainRequests != 1 || c.JobsDone != 1 || c.PredictRequests != 2 || c.Predictions != int64(n+1) {
+	if c.Counts[metrics.TrainRequests] != 1 || c.Counts[metrics.JobsDone] != 1 || c.Counts[metrics.PredictRequests] != 2 || c.Counts[metrics.Predictions] != int64(n+1) {
 		t.Errorf("counters %+v", c)
 	}
 	if stats.Queue.Done != 1 || stats.Models != 1 {
@@ -231,8 +232,8 @@ func TestHTTPErrors(t *testing.T) {
 
 	var stats statsResponse
 	doJSON(t, client, http.MethodGet, ts.URL+"/v1/stats", nil, &stats)
-	if stats.Counters.HTTPErrors < 4 {
-		t.Errorf("http errors counter %d, want >= 4", stats.Counters.HTTPErrors)
+	if stats.Counters.Counts[metrics.HTTPErrors] < 4 {
+		t.Errorf("http errors counter %d, want >= 4", stats.Counters.Counts[metrics.HTTPErrors])
 	}
 }
 
@@ -516,13 +517,13 @@ func TestHTTPConcurrentClients(t *testing.T) {
 
 	var stats statsResponse
 	doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/v1/stats", nil, &stats)
-	if stats.Counters.JobsDone != clients {
-		t.Errorf("jobs done %d, want %d", stats.Counters.JobsDone, clients)
+	if stats.Counters.Counts[metrics.JobsDone] != clients {
+		t.Errorf("jobs done %d, want %d", stats.Counters.Counts[metrics.JobsDone], clients)
 	}
 	// Hit counts depend on interleaving (identical concurrent jobs may
 	// all miss before the first Store), but every job consults the
 	// cache exactly once.
-	if total := stats.Counters.PlanCacheHits + stats.Counters.PlanCacheMisses; total != clients {
+	if total := stats.Counters.Counts[metrics.PlanCacheHits] + stats.Counters.Counts[metrics.PlanCacheMisses]; total != clients {
 		t.Errorf("plan cache lookups %d, want %d", total, clients)
 	}
 	if stats.Models != clients {

@@ -11,6 +11,7 @@ import (
 
 	"dimmwitted/internal/core"
 	"dimmwitted/internal/data"
+	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
 )
@@ -151,9 +152,9 @@ func TestShadowGateNeverPromotesRegression(t *testing.T) {
 		t.Fatalf("progress = %+v, want 3 published / 1 promoted / 2 rolled back", j.online)
 	}
 	c := s.Counters().Snapshot()
-	if c.ShadowEvals != 3 || c.ModelsPromoted != 1 || c.ModelsRolledBack != 2 {
+	if c.Counts[metrics.ShadowEvals] != 3 || c.Counts[metrics.ModelsPromoted] != 1 || c.Counts[metrics.ModelsRolledBack] != 2 {
 		t.Fatalf("counters = evals %d promoted %d rolledback %d, want 3/1/2",
-			c.ShadowEvals, c.ModelsPromoted, c.ModelsRolledBack)
+			c.Counts[metrics.ShadowEvals], c.Counts[metrics.ModelsPromoted], c.Counts[metrics.ModelsRolledBack])
 	}
 
 	// The shadow eval is deterministic: one candidate published twice
@@ -277,8 +278,8 @@ func TestOnlineJobTrainsAcrossAppends(t *testing.T) {
 	if st.Online.VersionsPublished < st.Online.VersionsPromoted {
 		t.Fatalf("published %d < promoted %d", st.Online.VersionsPublished, st.Online.VersionsPromoted)
 	}
-	if c := s.Counters().Snapshot(); c.OnlineAdopts < 3 {
-		t.Fatalf("online adopts = %d, want >= 3 (one per appended chunk)", c.OnlineAdopts)
+	if c := s.Counters().Snapshot(); c.Counts[metrics.OnlineAdopts] < 3 {
+		t.Fatalf("online adopts = %d, want >= 3 (one per appended chunk)", c.Counts[metrics.OnlineAdopts])
 	}
 
 	if err := s.Cancel(id); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dimmwitted/internal/core"
+	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
 )
@@ -106,9 +107,9 @@ func TestSchedulerUsesPlanCache(t *testing.T) {
 
 	// Counters mirror the cache.
 	snap := s.Counters().Snapshot()
-	if snap.PlanCacheHits != 1 || snap.PlanCacheMisses != 1 {
+	if snap.Counts[metrics.PlanCacheHits] != 1 || snap.Counts[metrics.PlanCacheMisses] != 1 {
 		t.Errorf("counters report %d hits / %d misses, want 1 / 1",
-			snap.PlanCacheHits, snap.PlanCacheMisses)
+			snap.Counts[metrics.PlanCacheHits], snap.Counts[metrics.PlanCacheMisses])
 	}
 }
 

@@ -117,6 +117,23 @@ func parseExposition(t *testing.T, body string) map[string]map[string]float64 {
 	return samples
 }
 
+// familyHeaders maps each family announced in an exposition to its
+// TYPE and HELP text.
+func familyHeaders(body string) map[string][2]string {
+	out := map[string][2]string{}
+	help := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(rest, " ")
+			help[name] = text
+		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			out[name] = [2]string{typ, help[name]}
+		}
+	}
+	return out
+}
+
 // splitLabels splits a label body on commas outside quotes.
 func splitLabels(s string) []string {
 	var out []string
@@ -169,23 +186,103 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	samples := parseExposition(t, string(raw))
 
-	for _, want := range []string{
-		"dimmwitted_uptime_seconds",
-		"dimmwitted_train_requests_total",
-		"dimmwitted_jobs_done_total",
-		"dimmwitted_gibbs_samples_total",
-		"dimmwitted_jobs",
-		"dimmwitted_http_request_duration_seconds_bucket",
-		"dimmwitted_engine_phase_seconds_total",
-		"dimmwitted_engine_phase_spans_total",
-		"dimmwitted_plan_cache_evictions_total",
-		"dimmwitted_plan_cache_invalidations_total",
-		"dimmwitted_optimizer_observations_total",
-		"dimmwitted_optimizer_keys",
-		"dimmwitted_optimizer_explorations_total",
-	} {
-		if len(samples[want]) == 0 {
-			t.Fatalf("exposition is missing %s", want)
+	// Every family, with its TYPE and HELP: scrape configs and
+	// dashboards key on these strings, so none may change silently.
+	want := map[string][2]string{
+		"dimmwitted_uptime_seconds":                 {"gauge", "Seconds since the server started."},
+		"dimmwitted_train_requests_total":           {"counter", "Accepted training requests."},
+		"dimmwitted_predict_requests_total":         {"counter", "Prediction requests served."},
+		"dimmwitted_predictions_total":              {"counter", "Individual predictions returned."},
+		"dimmwitted_jobs_enqueued_total":            {"counter", "Jobs entering the queue."},
+		"dimmwitted_jobs_done_total":                {"counter", "Jobs finished successfully."},
+		"dimmwitted_jobs_failed_total":              {"counter", "Jobs ended in an error."},
+		"dimmwitted_jobs_cancelled_total":           {"counter", "Jobs cancelled before completion."},
+		"dimmwitted_plan_cache_hits_total":          {"counter", "Optimizer invocations skipped by the plan cache."},
+		"dimmwitted_plan_cache_misses_total":        {"counter", "Cost-based optimizer runs."},
+		"dimmwitted_plan_cache_size":                {"gauge", "Plans currently cached."},
+		"dimmwitted_plan_cache_evictions_total":     {"counter", "Cached plans dropped by the LRU size cap."},
+		"dimmwitted_plan_cache_invalidations_total": {"counter", "Cached plans dropped because a feedback update flipped the optimizer's winner."},
+		"dimmwitted_http_errors_total":              {"counter", "Requests answered with a non-2xx status."},
+		"dimmwitted_gibbs_sweeps_total":             {"counter", "Full Gibbs chain sweeps."},
+		"dimmwitted_gibbs_samples_total":            {"counter", "Gibbs variable samples drawn."},
+		"dimmwitted_gibbs_samples_per_second":       {"gauge", "Cumulative parallel-executor sampling throughput."},
+		"dimmwitted_nn_epochs_total":                {"counter", "Network-training epochs."},
+		"dimmwitted_nn_examples_total":              {"counter", "Examples back-propagated."},
+		"dimmwitted_checkpoint_writes_total":        {"counter", "Durable snapshot writes."},
+		"dimmwitted_checkpoint_bytes_total":         {"counter", "Bytes written to durable snapshots."},
+		"dimmwitted_checkpoint_restores_total":      {"counter", "States restored from durable snapshots."},
+		"dimmwitted_checkpoint_errors_total":        {"counter", "Failed checkpoint writes or restores."},
+		"dimmwitted_append_requests_total":          {"counter", "Accepted dataset-append chunks."},
+		"dimmwitted_rows_appended_total":            {"counter", "Rows ingested through dataset appends."},
+		"dimmwitted_dataset_versions_total":         {"counter", "Dataset views published by appends."},
+		"dimmwitted_shadow_evals_total":             {"counter", "Candidate models shadow-evaluated on a held-out tail."},
+		"dimmwitted_models_promoted_total":          {"counter", "Candidates that passed shadow evaluation and went live."},
+		"dimmwitted_models_rolled_back_total":       {"counter", "Regressing canaries rejected by shadow evaluation."},
+		"dimmwitted_online_adopts_total":            {"counter", "Grown dataset views adopted by running online jobs."},
+		"dimmwitted_scheduler_slots":                {"gauge", "Concurrent training slots."},
+		"dimmwitted_jobs":                           {"gauge", "Jobs currently recorded, by lifecycle state."},
+		"dimmwitted_models":                         {"gauge", "Models registered for serving."},
+		"dimmwitted_optimizer_observations_total":   {"counter", "Epoch wall-clock observations recorded by the self-tuning optimizer."},
+		"dimmwitted_optimizer_keys":                 {"gauge", "Distinct plan observation keys in the feedback store."},
+		"dimmwitted_optimizer_explorations_total":   {"counter", "Plan decisions where the epsilon draw ran the runner-up."},
+		"dimmwitted_http_request_duration_seconds":  {"histogram", "HTTP handler latency by route."},
+		"dimmwitted_predict_stage_seconds":          {"histogram", "POST /v1/predict latency by stage: body read, body decode, scoring, reply encode and write."},
+		"dimmwitted_engine_phase_seconds_total":     {"counter", "Engine wall clock attributed to each phase by traced jobs."},
+		"dimmwitted_engine_phase_spans_total":       {"counter", "Spans recorded for each engine phase by traced jobs."},
+	}
+	headers := familyHeaders(string(raw))
+	for name, th := range want {
+		got, ok := headers[name]
+		if !ok {
+			t.Errorf("exposition is missing family %s", name)
+			continue
+		}
+		if got != th {
+			t.Errorf("family %s: TYPE/HELP %q, want %q", name, got, th)
+		}
+		if len(samples[name]) == 0 && len(samples[name+"_count"]) == 0 {
+			t.Errorf("family %s has no samples", name)
+		}
+	}
+	for name := range headers {
+		if _, ok := want[name]; !ok {
+			t.Errorf("exposition has unpinned family %s", name)
+		}
+	}
+
+	// On a quiescent server every /v1/stats counter reads the same as
+	// its dimmwitted_<key>_total sample. gibbs_samples_per_sec is the
+	// derived rate, exported as a gauge.
+	var stats struct {
+		Counters map[string]float64 `json:"counters"`
+	}
+	if code := doJSON(t, client, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d", code)
+	}
+	wantKeys := []string{
+		"train_requests", "predict_requests", "predictions", "jobs_enqueued",
+		"jobs_done", "jobs_failed", "jobs_cancelled", "plan_cache_hits",
+		"plan_cache_misses", "http_errors", "gibbs_sweeps", "gibbs_samples",
+		"nn_epochs", "nn_examples", "checkpoint_writes", "checkpoint_bytes",
+		"checkpoint_restores", "checkpoint_errors", "append_requests",
+		"rows_appended", "dataset_versions", "shadow_evals", "models_promoted",
+		"models_rolled_back", "online_adopts", "gibbs_samples_per_sec",
+	}
+	if len(stats.Counters) != len(wantKeys) {
+		t.Errorf("/v1/stats counters has %d keys, want %d: %v", len(stats.Counters), len(wantKeys), stats.Counters)
+	}
+	for _, key := range wantKeys {
+		v, ok := stats.Counters[key]
+		if !ok {
+			t.Errorf("/v1/stats counters is missing %s", key)
+			continue
+		}
+		name := "dimmwitted_" + key + "_total"
+		if key == "gibbs_samples_per_sec" {
+			name = "dimmwitted_gibbs_samples_per_second"
+		}
+		if got, ok := samples[name][""]; !ok || got != v {
+			t.Errorf("%s = %v (present %v), /v1/stats counters.%s = %v", name, got, ok, key, v)
 		}
 	}
 	if got := samples["dimmwitted_jobs_done_total"][""]; got < 1 {

@@ -18,12 +18,6 @@ import (
 // ErrUnknownModel reports a registry miss; match it with errors.Is.
 var ErrUnknownModel = errors.New("serve: unknown model")
 
-// regShards is the number of lock-striped registry shards. A power of
-// two so the hash masks instead of dividing; 32 keeps the write-side
-// stripes far wider than the scheduler's worker pool ever publishes
-// from, and the read side never touches a shard lock at all.
-const regShards = 32
-
 // ModelInfo describes one registered model for listings.
 type ModelInfo struct {
 	// ID is the registry key (the training job's ID).
@@ -77,15 +71,6 @@ type regEntry struct {
 	p atomic.Pointer[servingModel]
 }
 
-// regShard is one lock stripe. Readers follow m (an immutable
-// copy-on-write map) without any lock; writers serialise on mu and
-// either swap an existing entry's pointer (republish — no map copy) or
-// install a copied map with the new entry (first publish of an id).
-type regShard struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[string]*regEntry]
-}
-
 // regFlight is one in-progress lazy store load, shared by every
 // request that arrives while the load runs (single-flight).
 type regFlight struct {
@@ -95,8 +80,8 @@ type regFlight struct {
 }
 
 // Registry holds trained model snapshots and serves predictions from
-// them. The read path is engineered for throughput: model ids hash
-// onto lock-striped shards, each entry holds an immutable, pre-resolved
+// them. The read path is engineered for throughput: ids live in one
+// copy-on-write map, each entry holds an immutable, pre-resolved
 // servingModel published by atomic pointer swap, and Predict is
 // entirely lock-free — two atomic loads and a map probe, no mutex,
 // regardless of how many Puts, Lists or lazy loads run concurrently.
@@ -109,14 +94,18 @@ type regFlight struct {
 // and decoded once, with every concurrent request waiting on the one
 // load instead of issuing its own.
 type Registry struct {
-	shards [regShards]regShard
+	// models is the immutable id -> entry map readers follow without
+	// any lock. Writers hold mu and either swap an existing entry's
+	// pointer (republish — no map copy) or install a copied map with
+	// the new entry (first publish of an id).
+	models atomic.Pointer[map[string]*regEntry]
 
-	// mu guards the cold-path state only: registration order, the
-	// durable-store configuration, the disk-listing cache and the
-	// in-flight load table. The predict hot path never takes it.
+	// mu serialises publication and guards the cold-path state:
+	// registration order, the durable-store configuration, the
+	// disk-listing cache and the in-flight load table. The predict hot
+	// path never takes it.
 	mu       sync.Mutex
 	order    []string
-	known    map[string]struct{}
 	store    *ckpt.Store
 	counters *metrics.ServeCounters
 	// infoCache memoises listing rows of disk-resident models by
@@ -135,32 +124,17 @@ type diskInfo struct {
 // NewRegistry returns an empty, memory-only model registry.
 func NewRegistry() *Registry {
 	r := &Registry{
-		known:     map[string]struct{}{},
 		infoCache: map[string]diskInfo{},
 		flights:   map[string]*regFlight{},
 	}
-	for i := range r.shards {
-		m := map[string]*regEntry{}
-		r.shards[i].m.Store(&m)
-	}
+	r.models.Store(&map[string]*regEntry{})
 	return r
-}
-
-// shardFor maps an id onto its lock stripe: inline FNV-1a over the id
-// bytes — no hasher allocation on the predict hot path.
-func (r *Registry) shardFor(id string) *regShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return &r.shards[h&(regShards-1)]
 }
 
 // peek returns the published serving model for id, or nil. This is the
 // whole hot path: one atomic map load, one probe, one entry load.
 func (r *Registry) peek(id string) *servingModel {
-	e, ok := (*r.shardFor(id).m.Load())[id]
+	e, ok := (*r.models.Load())[id]
 	if !ok {
 		return nil
 	}
@@ -218,7 +192,7 @@ func (r *Registry) put(id string, sm *servingModel) error {
 	}
 	if _, n, err := store.Save(id, sm.snap, nil); err != nil {
 		if counters != nil {
-			counters.CheckpointError()
+			counters.Inc(metrics.CheckpointErrors)
 		}
 		return err
 	} else if counters != nil {
@@ -229,7 +203,7 @@ func (r *Registry) put(id string, sm *servingModel) error {
 
 // publish installs sm under id, replacing any current entry: an
 // existing entry's pointer is swapped atomically (readers mid-predict
-// keep the version they loaded), a new id lands in a copied shard map.
+// keep the version they loaded), a new id lands in a copied map.
 func (r *Registry) publish(id string, sm *servingModel) {
 	r.install(id, sm, true)
 }
@@ -243,43 +217,29 @@ func (r *Registry) publishIfAbsent(id string, sm *servingModel) *servingModel {
 
 // install is the one publication path: swap an existing entry's
 // pointer (or keep it, when overwrite is false) or insert the id into
-// a copied shard map.
+// a copied map, recording its first-registration order for List.
 func (r *Registry) install(id string, sm *servingModel, overwrite bool) *servingModel {
 	sm.created = time.Now()
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	cur := *sh.m.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cur := *r.models.Load()
 	if e, ok := cur[id]; ok {
 		if !overwrite {
-			got := e.p.Load()
-			sh.mu.Unlock()
-			return got
+			return e.p.Load()
 		}
 		e.p.Store(sm)
-		sh.mu.Unlock()
-	} else {
-		next := make(map[string]*regEntry, len(cur)+1)
-		for k, v := range cur {
-			next[k] = v
-		}
-		e := &regEntry{}
-		e.p.Store(sm)
-		next[id] = e
-		sh.m.Store(&next)
-		sh.mu.Unlock()
+		return sm
 	}
-	r.recordID(id)
+	next := make(map[string]*regEntry, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	e := &regEntry{}
+	e.p.Store(sm)
+	next[id] = e
+	r.models.Store(&next)
+	r.order = append(r.order, id)
 	return sm
-}
-
-// recordID tracks first-registration order for List.
-func (r *Registry) recordID(id string) {
-	r.mu.Lock()
-	if _, ok := r.known[id]; !ok {
-		r.known[id] = struct{}{}
-		r.order = append(r.order, id)
-	}
-	r.mu.Unlock()
 }
 
 // lookup fetches a serving model, falling back to the durable store on
@@ -329,14 +289,14 @@ func (r *Registry) loadFromStore(id string, store *ckpt.Store, counters *metrics
 			return nil, fmt.Errorf("%w %q", ErrUnknownModel, id)
 		}
 		if counters != nil {
-			counters.CheckpointError()
+			counters.Inc(metrics.CheckpointErrors)
 		}
 		return nil, fmt.Errorf("serve: stored model %q is unreadable: %w", id, err)
 	}
 	spec, scorer := scorerForSnapshot(snap)
 	sm := r.publishIfAbsent(id, &servingModel{spec: spec, scorer: scorer, x: snap.X, snap: snap})
 	if counters != nil {
-		counters.CheckpointRestore()
+		counters.Inc(metrics.CheckpointRestores)
 	}
 	return sm, nil
 }
@@ -479,9 +439,7 @@ func infoFor(id string, snap core.Snapshot, created time.Time) ModelInfo {
 
 // memLen returns the number of models resident in memory.
 func (r *Registry) memLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.known)
+	return len(*r.models.Load())
 }
 
 // diskOnlyIDs lists store ids not yet cached in memory.

@@ -643,7 +643,7 @@ func (s *Scheduler) resolveWarmStart(id string) (core.Snapshot, error) {
 			return snap, nil
 		}
 		if !errors.Is(err, os.ErrNotExist) {
-			s.counters.CheckpointError()
+			s.counters.Inc(metrics.CheckpointErrors)
 			return core.Snapshot{}, fmt.Errorf("serve: warm_start %q: %w", id, err)
 		}
 	}
@@ -876,7 +876,7 @@ func (s *Scheduler) submit(req TrainRequest, warm *core.Snapshot, resumedFrom st
 	s.evictLocked()
 	s.mu.Unlock()
 
-	s.counters.JobEnqueued()
+	s.counters.Inc(metrics.JobsEnqueued)
 	return j.id, nil
 }
 
@@ -1003,27 +1003,24 @@ func (s *Scheduler) planFor(j *job) (core.Plan, error) {
 	}
 	key := s.keyFor(j, exec)
 	if plan, ok := s.plans.Lookup(key); ok {
-		s.counters.PlanCacheHit()
+		s.counters.Inc(metrics.PlanCacheHits)
 		s.setPlanSource(j, planSourceCached, s.predictFor(j, plan))
 		return plan, nil
 	}
-	s.counters.PlanCacheMiss()
-	if s.feedback == nil {
-		plan, err := core.ChooseWorkload(j.wl, j.top, exec)
-		if err != nil {
-			return s.planFallback(j, exec, err)
-		}
-		s.plans.Store(key, plan)
-		s.setPlanSource(j, planSourceStatic, 0)
-		return plan, nil
+	s.counters.Inc(metrics.PlanCacheMisses)
+	// A nil cost model reduces the decision to the static optimizer's
+	// choice, so feedback off takes the same call.
+	var cm core.CostModel
+	if s.feedback != nil {
+		cm = jobCostModel{s: s, j: j}
 	}
-	dec, err := core.ChoosePlanModel(j.wl, j.top, exec, jobCostModel{s: s, j: j})
+	dec, err := core.ChoosePlanModel(j.wl, j.top, exec, cm)
 	if err != nil {
 		return s.planFallback(j, exec, err)
 	}
 	s.plans.Store(key, dec.Plan)
 	plan, source, predicted := dec.Plan, dec.Source, dec.PredictedSeconds
-	if dec.RunnerUp != nil && s.feedback.Explore() {
+	if dec.RunnerUp != nil && s.feedback != nil && s.feedback.Explore() {
 		plan = *dec.RunnerUp
 		source = planSourceExplore
 		predicted = s.predictFor(j, plan)
@@ -1206,11 +1203,11 @@ func (s *Scheduler) run(j *job) {
 	defer eng.Close()
 	if j.warm != nil {
 		if err := eng.Restore(*j.warm); err != nil {
-			s.counters.CheckpointError()
+			s.counters.Inc(metrics.CheckpointErrors)
 			s.finish(j, JobFailed, err.Error())
 			return
 		}
-		s.counters.CheckpointRestore()
+		s.counters.Inc(metrics.CheckpointRestores)
 	}
 
 	if j.req.Trace {
@@ -1244,7 +1241,7 @@ func (s *Scheduler) run(j *job) {
 		j.hasTuneKey = true
 		defer func() {
 			if err := s.feedback.Flush(); err != nil {
-				s.counters.CheckpointError()
+				s.counters.Inc(metrics.CheckpointErrors)
 			}
 		}()
 	}
@@ -1266,14 +1263,7 @@ func (s *Scheduler) run(j *job) {
 	for eng.Epoch() < j.req.MaxEpochs {
 		select {
 		case <-j.ctx.Done():
-			// A cancel here is a job DELETE or a server shutdown; either
-			// way the engine holds epochs the last periodic checkpoint may
-			// not, and a final save is what lets Resume continue instead
-			// of restarting from zero.
-			if s.opts.Checkpoints != nil && eng.Epoch() > 0 {
-				s.checkpoint(j, eng)
-			}
-			s.finish(j, JobCancelled, "")
+			s.cancelRun(j, eng)
 			return
 		default:
 		}
@@ -1286,7 +1276,7 @@ func (s *Scheduler) run(j *job) {
 					s.finish(j, JobFailed, err.Error())
 					return
 				}
-				s.counters.OnlineAdopt()
+				s.counters.Inc(metrics.OnlineAdopts)
 				s.mu.Lock()
 				j.curView = v
 				j.online.rows = v.Rows()
@@ -1301,10 +1291,7 @@ func (s *Scheduler) run(j *job) {
 		if err != nil {
 			// Cancelled mid-epoch: the engine rolled back to the last
 			// completed epoch boundary, which is still resumable state.
-			if s.opts.Checkpoints != nil && eng.Epoch() > 0 {
-				s.checkpoint(j, eng)
-			}
-			s.finish(j, JobCancelled, "")
+			s.cancelRun(j, eng)
 			return
 		}
 		sample := er.Epoch%histEvery == 0
@@ -1385,10 +1372,7 @@ func (s *Scheduler) run(j *job) {
 	// epoch wins over publication.
 	select {
 	case <-j.ctx.Done():
-		if s.opts.Checkpoints != nil && eng.Epoch() > 0 {
-			s.checkpoint(j, eng)
-		}
-		s.finish(j, JobCancelled, "")
+		s.cancelRun(j, eng)
 		return
 	default:
 	}
@@ -1431,6 +1415,17 @@ func (s *Scheduler) run(j *job) {
 	s.finish(j, JobDone, "")
 }
 
+// cancelRun ends a cancelled job. A cancel is a job DELETE or a server
+// shutdown; either way the engine holds epochs the last periodic
+// checkpoint may not, and a final save is what lets Resume continue
+// instead of restarting from zero.
+func (s *Scheduler) cancelRun(j *job, eng *core.Engine) {
+	if s.opts.Checkpoints != nil && eng.Epoch() > 0 {
+		s.checkpoint(j, eng)
+	}
+	s.finish(j, JobCancelled, "")
+}
+
 // ckptMeta is a checkpoint's metadata envelope: the submitted request
 // plus, for online jobs, the ingest high-water mark at checkpoint time.
 // It embeds TrainRequest so metas written by older builds (a bare
@@ -1460,11 +1455,11 @@ func (s *Scheduler) checkpoint(j *job, eng *core.Engine) {
 	}
 	meta, err := json.Marshal(env)
 	if err != nil {
-		s.counters.CheckpointError()
+		s.counters.Inc(metrics.CheckpointErrors)
 		return
 	}
 	if _, n, err := s.opts.Checkpoints.Save(j.id, eng.Snapshot(), meta); err != nil {
-		s.counters.CheckpointError()
+		s.counters.Inc(metrics.CheckpointErrors)
 	} else {
 		s.counters.CheckpointWrite(n)
 	}
@@ -1494,7 +1489,7 @@ func (s *Scheduler) Resume(id string) (string, error) {
 		if errors.Is(err, os.ErrNotExist) {
 			return "", fmt.Errorf("serve: job %q has no durable checkpoint: %w", id, os.ErrNotExist)
 		}
-		s.counters.CheckpointError()
+		s.counters.Inc(metrics.CheckpointErrors)
 		return "", err
 	}
 	var orig ckptMeta
@@ -1613,14 +1608,14 @@ func (s *Scheduler) publishOnline(j *job, snap core.Snapshot) error {
 	if hasLive {
 		liveLoss = j.spec.Loss(tail, liveSnap.X)
 	}
-	s.counters.ShadowEval()
+	s.counters.Inc(metrics.ShadowEvals)
 	promote := promoteDecision(candLoss, liveLoss, hasLive)
 	var err error
 	if promote {
 		err = s.publish(j, snap)
-		s.counters.ModelPromoted()
+		s.counters.Inc(metrics.ModelsPromoted)
 	} else {
-		s.counters.ModelRolledBack()
+		s.counters.Inc(metrics.ModelsRolledBack)
 	}
 	s.mu.Lock()
 	j.online.published++
@@ -1670,11 +1665,11 @@ func (s *Scheduler) finish(j *job, state JobState, errMsg string) {
 	close(j.done)
 	switch state {
 	case JobDone:
-		s.counters.JobDone()
+		s.counters.Inc(metrics.JobsDone)
 	case JobFailed:
-		s.counters.JobFailed()
+		s.counters.Inc(metrics.JobsFailed)
 	case JobCancelled:
-		s.counters.JobCancelled()
+		s.counters.Inc(metrics.JobsCancelled)
 	}
 }
 
@@ -1872,7 +1867,7 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 	if s.feedback != nil {
 		if err := s.feedback.Flush(); err != nil {
-			s.counters.CheckpointError()
+			s.counters.Inc(metrics.CheckpointErrors)
 		}
 	}
 }

@@ -22,8 +22,8 @@
 // stream.
 //
 // The inference hot path is read-optimized separately from the
-// training path: the registry hashes model ids onto lock-striped
-// shards whose entries hold immutable, pre-resolved serving models
+// training path: the registry keeps model ids in one copy-on-write
+// map whose entries hold immutable, pre-resolved serving models
 // (spec + flat weight slice + scorer, built once at publish time)
 // published by atomic pointer swap, so Predict is lock-free; lazy
 // loads from the durable store are single-flight per id. Per-route

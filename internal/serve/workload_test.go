@@ -11,6 +11,7 @@ import (
 
 	"dimmwitted/internal/core"
 	"dimmwitted/internal/factor"
+	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
 )
@@ -65,7 +66,7 @@ func TestGibbsJobBothExecutors(t *testing.T) {
 		}
 	}
 	snap := s.Counters().Snapshot()
-	if snap.GibbsSweeps == 0 || snap.GibbsSamples == 0 {
+	if snap.Counts[metrics.GibbsSweeps] == 0 || snap.Counts[metrics.GibbsSamples] == 0 {
 		t.Errorf("gibbs counters not recorded: %+v", snap)
 	}
 	// The pooled marginals serve index-lookup predictions.
@@ -107,7 +108,7 @@ func TestNNJobBothExecutors(t *testing.T) {
 		}
 	}
 	snap := s.Counters().Snapshot()
-	if snap.NNEpochs == 0 || snap.NNExamples == 0 {
+	if snap.Counts[metrics.NNEpochs] == 0 || snap.Counts[metrics.NNExamples] == 0 {
 		t.Errorf("nn counters not recorded: %+v", snap)
 	}
 	// Class predictions from the registered snapshot.
@@ -269,10 +270,10 @@ func TestHTTPWorkloadRoundTrip(t *testing.T) {
 	if len(stats.Graphs) == 0 || len(stats.NNDatasets) == 0 {
 		t.Errorf("stats missing workload registries: %+v", stats)
 	}
-	if stats.Counters.GibbsSamples == 0 || stats.Counters.GibbsSamplesPerSec == 0 {
+	if stats.Counters.Counts[metrics.GibbsSamples] == 0 || stats.Counters.GibbsSamplesPerSec == 0 {
 		t.Errorf("stats missing gibbs counters: %+v", stats.Counters)
 	}
-	if stats.Counters.NNEpochs == 0 {
+	if stats.Counters.Counts[metrics.NNEpochs] == 0 {
 		t.Errorf("stats missing nn counters: %+v", stats.Counters)
 	}
 }
