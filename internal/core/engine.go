@@ -364,8 +364,16 @@ func (e *Engine) Plan() Plan { return e.plan }
 func (e *Engine) Model() []float64 { return e.global }
 
 // Loss evaluates the workload's objective on the current combined
-// state.
-func (e *Engine) Loss() float64 { return e.wl.Loss(e.global) }
+// state. A GLM on a running parallel pool computes its row terms on the
+// pool lanes; the result is bitwise the serial one.
+func (e *Engine) Loss() float64 {
+	if p, ok := e.exec.(*parallelExecutor); ok && p.started && !p.closed {
+		if g, ok := e.wl.(*glmWorkload); ok {
+			return p.laneLoss(g, e.global)
+		}
+	}
+	return e.wl.Loss(e.global)
+}
 
 // Metrics returns the workload's extra quality metrics on the current
 // combined state (nil for GLM).

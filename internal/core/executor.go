@@ -110,14 +110,16 @@ func (s *simExecutor) runEpoch(ctx context.Context) (int, model.Stats, error) {
 //
 // For ConcurrencyDelta workloads (GLM, NN) the pool runs the Hogwild!
 // memory model: each locality group's replica is mirrored by a
-// vec.Atomic master; workers train on private working copies and push
-// accumulated deltas every ChunkSize steps with a fused single-pass
-// flush — sparse (only the coordinates of steps that wrote) when the
-// workload declares per-unit coordinate sets, dense otherwise. When the
-// workload is a UnitToucher, each claimed chunk's data is touched in
-// one pass before the chunk steps, hiding row-fetch latency without
-// changing the steps. For ConcurrencyShared workloads (Gibbs) workers
-// step directly on the shared replica, whose Step is itself race-safe.
+// vec.Atomic master; workers train on private working copies, stepping
+// each ChunkSize segment of a claimed chunk with one StepUnits call,
+// and push the segment's accumulated deltas with a fused single-pass
+// flush — sparse (only the coordinates StepUnits marked as written)
+// when the workload declares per-unit coordinate sets, dense
+// otherwise. When the workload is a UnitToucher, each claimed chunk's
+// data is touched in one pass before the chunk steps, hiding row-fetch
+// latency without changing the steps. For ConcurrencyShared workloads
+// (Gibbs) workers step directly on the shared replica, whose Step is
+// itself race-safe.
 // Locality groups meet through the engine's shared end-of-epoch
 // combine, exactly like the simulator; the simulated-cost machinery
 // does not apply, so epochs are measured in wall-clock time and the
@@ -132,13 +134,11 @@ type parallelExecutor struct {
 	// per-epoch allocation and GC churn for worker state.
 	locals []*WorkState
 	bases  [][]float64
-	// coords drives the sparse flush path (non-nil when the workload's
-	// units have static coordinate sets): dirty accumulates the
-	// coordinates of each worker's writing steps per chunk, seen is the
-	// membership bitmap that dedups them.
-	coords UnitCoordser
-	dirty  [][]int32
-	seen   [][]byte
+	// units steps each flush segment. dirty[w] collects worker w's
+	// written coordinates between flushes; it is nil, and the flush
+	// dense, unless the workload's units have static coordinate sets.
+	units UnitStepper
+	dirty []*vec.Dirty
 	// touch, when the workload implements it, reads each claimed
 	// chunk's data in one tight pass before the chunk steps, so the
 	// chunk's row-fetch misses overlap instead of serializing.
@@ -157,23 +157,29 @@ type parallelExecutor struct {
 	// lanes[g] is the band of logical workers pool goroutine g services
 	// each epoch, in order; feeds[g] is its parked task channel.
 	lanes   [][]*worker
-	feeds   []chan *epochTask
+	feeds   []chan *laneTask
 	heads   []queueHead
 	slots   []workerSlot
 	started bool
 	closed  bool
 	wg      sync.WaitGroup
+	// terms holds one loss term per dataset row for laneLoss.
+	terms []float64
 }
 
-// epochTask is one epoch's marching orders for the parked pool: the
-// epoch's step size and cancellation scope, plus the barrier every
-// worker reports to once its share — own queue plus stolen chunks —
-// is drained.
+// laneTask is one wake-up of the parked pool: every lane calls run with
+// its index, then reports to the barrier.
+type laneTask struct {
+	run     func(lane int)
+	barrier sync.WaitGroup
+}
+
+// epochTask is one epoch's marching orders for its workers: the
+// epoch's step size and cancellation scope.
 type epochTask struct {
-	ctx     context.Context
-	epoch   int
-	step    float64
-	barrier *sync.WaitGroup
+	ctx   context.Context
+	epoch int
+	step  float64
 }
 
 // queueHead is one worker queue's claim cursor: how many of the
@@ -222,11 +228,11 @@ func newParallelExecutor(e *Engine) *parallelExecutor {
 		sort.SliceStable(bands, func(a, b int) bool { return bands[a].repIdx < bands[b].repIdx })
 	}
 	p.lanes = make([][]*worker, pool)
-	p.feeds = make([]chan *epochTask, pool)
+	p.feeds = make([]chan *laneTask, pool)
 	for g := range p.lanes {
 		lo, hi := g*n/pool, (g+1)*n/pool
 		p.lanes[g] = bands[lo:hi]
-		p.feeds[g] = make(chan *epochTask, 1)
+		p.feeds[g] = make(chan *laneTask, 1)
 	}
 	p.heads = make([]queueHead, n)
 	p.slots = make([]workerSlot, n)
@@ -262,13 +268,12 @@ func newParallelExecutor(e *Engine) *parallelExecutor {
 		p.locals = append(p.locals, e.wl.NewReplica(-1-i, e.plan.Seed))
 		p.bases = append(p.bases, make([]float64, dim))
 	}
+	p.units = e.wl.(UnitStepper)
 	p.touch, _ = e.wl.(UnitToucher)
 	if uc, ok := e.wl.(UnitCoordser); ok && uc.SparseUnits() {
-		p.coords = uc
-		p.dirty = make([][]int32, n)
-		p.seen = make([][]byte, n)
-		for i := range p.seen {
-			p.seen[i] = make([]byte, dim)
+		p.dirty = make([]*vec.Dirty, n)
+		for i := range p.dirty {
+			p.dirty[i] = vec.NewDirty(dim)
 		}
 	}
 	return p
@@ -281,9 +286,9 @@ func (p *parallelExecutor) Kind() ExecutorKind { return ExecParallel }
 // engine goroutine, on the first epoch.
 func (p *parallelExecutor) start() {
 	p.started = true
-	for g, lane := range p.lanes {
+	for g, feed := range p.feeds {
 		p.wg.Add(1)
-		go p.laneLoop(lane, p.feeds[g])
+		go p.laneLoop(g, feed)
 	}
 }
 
@@ -305,30 +310,52 @@ func (p *parallelExecutor) close() {
 	p.wg.Wait()
 }
 
-// laneLoop is one pool goroutine: park on the feed, run each logical
-// worker in the lane's band in turn (lane-mates that finish early are
-// drained by stealing, not by waiting), report to the barrier, park
-// again. Exits when the feed closes.
-func (p *parallelExecutor) laneLoop(lane []*worker, feed <-chan *epochTask) {
+// laneLoop is one pool goroutine: park on the feed, run each task for
+// this lane, report to the task's barrier, park again. Exits when the
+// feed closes.
+func (p *parallelExecutor) laneLoop(lane int, feed <-chan *laneTask) {
 	defer p.wg.Done()
 	for t := range feed {
-		for _, w := range lane {
-			if err := t.ctx.Err(); err != nil {
-				// The epoch is already being abandoned; don't start the
-				// remaining lane-mates, but mark them cancelled so the
-				// collected slots carry the error no matter which worker
-				// observed it first.
-				p.slots[w.id].err = err
-				continue
-			}
-			if p.delta {
-				p.runDeltaWorker(w, t)
-			} else {
-				p.runSharedWorker(w, t)
-			}
-		}
+		t.run(lane)
 		t.barrier.Done()
 	}
+}
+
+// onLanes is the pool's one primitive: wake every lane with run (one
+// task send per lane) and wait until each has returned. A non-nil sent
+// receives the time the last lane was woken. The pool starts on first
+// use; callers check closed. Call from the goroutine that runs epochs
+// (the pool's single producer).
+func (p *parallelExecutor) onLanes(run func(lane int), sent *time.Time) {
+	if !p.started {
+		p.start()
+	}
+	t := &laneTask{run: run}
+	t.barrier.Add(len(p.feeds))
+	for _, f := range p.feeds {
+		f <- t
+	}
+	if sent != nil {
+		*sent = time.Now()
+	}
+	t.barrier.Wait()
+}
+
+// laneLoss is a GLM's objective at x with the row loss terms computed
+// on the pool lanes, each filling one contiguous band of rows, and
+// folded in row order here: bitwise the spec's serial Loss.
+func (p *parallelExecutor) laneLoss(g *glmWorkload, x []float64) float64 {
+	rows := g.ds.Rows()
+	if cap(p.terms) < rows {
+		p.terms = make([]float64, rows)
+	}
+	terms := p.terms[:rows]
+	n := len(p.lanes)
+	p.onLanes(func(lane int) {
+		lo, hi := lane*rows/n, (lane+1)*rows/n
+		g.spec.LossTerms(g.ds, x, lo, terms[lo:hi])
+	}, nil)
+	return model.LossFromTerms(g.spec, g.ds, x, terms)
 }
 
 // claim grabs the next unclaimed run of victim's items, at most chunk
@@ -348,9 +375,10 @@ func (p *parallelExecutor) claim(victim, chunk int) []int {
 	return items[start:end]
 }
 
-// runEpoch implements Executor: reset the claim cursors, wake the pool
-// with one task send per lane, wait on the barrier, then collect the
-// padded per-worker result slots. Engine-level phase boundaries are
+// runEpoch implements Executor: reset the claim cursors, run every
+// lane's band of workers through onLanes (lane-mates that finish early
+// are drained by stealing, not by waiting), then collect the padded
+// per-worker result slots. Engine-level phase boundaries are
 // staged locally and committed only on success: an abandoned
 // (cancelled) epoch records nothing, matching the engine's epoch
 // accounting.
@@ -358,9 +386,6 @@ func (p *parallelExecutor) runEpoch(ctx context.Context) (int, model.Stats, erro
 	e := p.e
 	if p.closed {
 		return 0, model.Stats{}, fmt.Errorf("core: parallel executor is closed")
-	}
-	if !p.started {
-		p.start()
 	}
 	epoch := e.epoch + 1
 	traced := e.rec != nil
@@ -386,16 +411,28 @@ func (p *parallelExecutor) runEpoch(ctx context.Context) (int, model.Stats, erro
 	for i := range p.slots {
 		p.slots[i] = workerSlot{}
 	}
-	barrier := &sync.WaitGroup{}
-	barrier.Add(len(p.feeds))
-	task := &epochTask{ctx: ctx, epoch: epoch, step: e.step, barrier: barrier}
-	for _, f := range p.feeds {
-		f <- task
-	}
+	task := &epochTask{ctx: ctx, epoch: epoch, step: e.step}
+	var sent *time.Time
 	if traced {
-		tPool = time.Now()
+		sent = &tPool
 	}
-	barrier.Wait()
+	p.onLanes(func(lane int) {
+		for _, w := range p.lanes[lane] {
+			if err := ctx.Err(); err != nil {
+				// The epoch is already being abandoned; don't start the
+				// remaining lane-mates, but mark them cancelled so the
+				// collected slots carry the error no matter which worker
+				// observed it first.
+				p.slots[w.id].err = err
+				continue
+			}
+			if p.delta {
+				p.runDeltaWorker(w, task)
+			} else {
+				p.runSharedWorker(w, task)
+			}
+		}
+	}, sent)
 	if traced {
 		tWait = time.Now()
 	}
@@ -436,11 +473,13 @@ func (p *parallelExecutor) runEpoch(ctx context.Context) (int, model.Stats, erro
 }
 
 // runDeltaWorker is one worker's share of a delta-mode epoch:
-// snapshot the master into the private working copy, claim and step
-// chunks (own queue first, then co-replica victims), and push batched
-// deltas with the fused flush every ChunkSize steps. Cancellation is
-// observed between flushes, so an aborted worker leaves no unflushed
-// local work behind.
+// snapshot the master into the private working copy, claim chunks (own
+// queue first, then co-replica victims), step each ChunkSize segment
+// with one StepUnits call and push its batched deltas with the fused
+// flush. A segment ends at every ChunkSize boundary whatever the
+// StealChunk, so flushes fall where per-unit stepping put them.
+// Cancellation is observed after each flush, so an aborted worker
+// leaves no unflushed local work behind.
 func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 	e := p.e
 	// wb is the worker's private span buffer (nil when tracing is
@@ -459,22 +498,17 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 	master.Snapshot(local.X)
 	copy(base, local.X)
 
-	sparse := p.coords != nil
-	var dirty []int32
-	var seen []byte
-	if sparse {
-		dirty, seen = p.dirty[w.id][:0], p.seen[w.id]
+	var dirty *vec.Dirty
+	if p.dirty != nil {
+		dirty = p.dirty[w.id]
 	}
 	flush := func() {
 		if wb != nil {
 			tFlush = time.Now()
 		}
-		if sparse {
-			master.FlushDeltaSparse(local.X, base, dirty)
-			for _, j := range dirty {
-				seen[j] = 0
-			}
-			dirty = dirty[:0]
+		if dirty != nil {
+			master.FlushDeltaSparse(local.X, base, dirty.List())
+			dirty.Reset()
 		} else {
 			master.FlushDelta(local.X, base)
 		}
@@ -490,14 +524,10 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 	steps := 0
 	var touched float64
 	defer func() {
-		if sparse {
-			// A cancelled worker abandons its unflushed chunk: clear the
-			// bitmap through the dirty list so the next epoch starts
-			// clean.
-			for _, j := range dirty {
-				seen[j] = 0
-			}
-			p.dirty[w.id] = dirty[:0]
+		if dirty != nil {
+			// A cancelled worker abandons its unflushed segment: empty
+			// the set so the next epoch starts clean.
+			dirty.Reset()
 		}
 		slot.steps = steps
 		slot.stats = st
@@ -511,27 +541,17 @@ func (p *parallelExecutor) runDeltaWorker(w *worker, t *epochTask) {
 	since := 0
 	run := func(items []int) bool {
 		// The touch is its own tight pass over the whole chunk: folded
-		// into the step loop below, that loop's unpredictable branches
-		// would cap how many loads are in flight.
+		// into the step loop, that loop's unpredictable branches would
+		// cap how many loads are in flight.
 		if p.touch != nil {
 			touched += p.touch.TouchUnits(items)
 		}
-		for _, item := range items {
-			stats := e.wl.Step(item, local, t.step, nil, nil)
-			// A step that wrote nothing left X unchanged, so its
-			// coordinates carry no delta to flush. Marking after the
-			// step finds the row's indices already in cache.
-			if sparse && stats.ModelWrites > 0 {
-				for _, j := range p.coords.UnitCoords(item) {
-					if seen[j] == 0 {
-						seen[j] = 1
-						dirty = append(dirty, j)
-					}
-				}
-			}
-			st.Add(stats)
-			steps++
-			since++
+		for len(items) > 0 {
+			seg := items[:min(len(items), flushEvery-since)]
+			items = items[len(seg):]
+			st.Add(p.units.StepUnits(seg, local, t.step, dirty))
+			steps += len(seg)
+			since += len(seg)
 			if since >= flushEvery {
 				flush()
 				since = 0

@@ -7,6 +7,7 @@ import (
 	"dimmwitted/internal/data"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
+	"dimmwitted/internal/vec"
 )
 
 // glmWorkload adapts the original "model.Spec over a data matrix" task
@@ -146,12 +147,13 @@ func (g *glmWorkload) charge(c *StepCost, st model.Stats) {
 
 // SparseUnits implements UnitCoordser: row-wise steps of a sparse-
 // update spec read and write the model only at the row's nonzero
-// columns (every RowStep is built on SparseDot/SparseAXPY over the
-// row's index list). Dense-update specs (parallel sum) and column
-// access touch state outside any per-unit set, so they stay on the
-// dense flush path — as does dense *data*, where rows cover most of
-// the model and per-step dirty tracking would cost more than the full
-// single-pass flush it avoids.
+// columns (every row step is built on SparseDot/SparseAXPY over the
+// row's index list), and RowSteps marks a writing row's columns.
+// Dense-update specs (parallel sum) and column access touch state
+// outside any per-unit set, so they stay on the dense flush path — as
+// does dense *data*, where rows cover most of the model and per-step
+// dirty tracking would cost more than the full single-pass flush it
+// avoids.
 func (g *glmWorkload) SparseUnits() bool {
 	if g.plan.Access != model.RowWise || g.spec.DenseUpdate() {
 		return false
@@ -161,11 +163,11 @@ func (g *glmWorkload) SparseUnits() bool {
 	return g.ds.NNZ()*4 < int64(g.ds.Rows())*int64(g.ds.Cols())
 }
 
-// UnitCoords implements UnitCoordser: the CSR row's column indices,
-// aliased straight from the immutable data matrix.
-func (g *glmWorkload) UnitCoords(unit int) []int32 {
-	idx, _ := g.ds.A.Row(unit)
-	return idx
+// StepUnits implements UnitStepper: one RowSteps call over the units.
+// The parallel executor, its only caller, runs row-wise access alone
+// (Plan.Validate), so units are rows.
+func (g *glmWorkload) StepUnits(units []int, ws *WorkState, step float64, dirty *vec.Dirty) model.Stats {
+	return g.spec.RowSteps(g.ds, units, ws.Priv.(*model.Replica), step, dirty)
 }
 
 // TouchUnits implements UnitToucher for row-wise access: each row's

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -171,5 +172,41 @@ func TestExecutorOverheadCycles(t *testing.T) {
 	}
 	if spawn := float64(12 * goroutineSpawnCycles); pooled >= spawn {
 		t.Errorf("pooled overhead %v not cheaper than the spawn model %v", pooled, spawn)
+	}
+}
+
+// TestLaneLossBitIdentical: a parallel GLM engine's Loss, whose row
+// terms the pool lanes compute, is bitwise the spec's serial Loss at
+// every lane count — before the first epoch (the pool is not started,
+// so Loss folds inline), after epochs (the lane pass) and after Close
+// (inline again).
+func TestLaneLossBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cases := append(sparseUnitCases(), rowSpecCase{"sum", model.NewParallelSum(), data.ParallelSum(1000, 4), 1})
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			e := mustEngine(t, c.spec, c.ds, Plan{Executor: ExecParallel, Access: model.RowWise, Workers: 4, Seed: 3})
+			p := e.exec.(*parallelExecutor)
+			check := func(when string) {
+				t.Helper()
+				got, want := e.Loss(), c.spec.Loss(c.ds, e.Model())
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("GOMAXPROCS %d %s %s: Engine.Loss %v, spec.Loss %v", procs, c.name, when, got, want)
+				}
+			}
+			check("before the first epoch")
+			for i := 0; i < 3; i++ {
+				if er := e.RunEpoch(); math.Float64bits(er.Loss) != math.Float64bits(c.spec.Loss(c.ds, e.Model())) {
+					t.Fatalf("GOMAXPROCS %d %s epoch %d: loss %v, spec.Loss %v", procs, c.name, er.Epoch, er.Loss, c.spec.Loss(c.ds, e.Model()))
+				}
+			}
+			if want := min(procs, 4); !p.started || len(p.lanes) != want {
+				t.Fatalf("GOMAXPROCS %d %s: pool started %v with %d lanes, want %d", procs, c.name, p.started, len(p.lanes), want)
+			}
+			check("after epochs")
+			e.Close()
+			check("after Close")
+		}
 	}
 }

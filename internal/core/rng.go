@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -89,8 +90,32 @@ func (s *SeededSource) String() string {
 // epoch matches one that allocates a fresh permutation each time.
 func FillPerm(rng *rand.Rand, p []int) {
 	for i := range p {
-		j := rng.Intn(i + 1)
+		j := intn(rng, i+1)
 		p[i] = p[j]
 		p[j] = i
+	}
+}
+
+// intn returns rng.Intn(n) from the same draws. For n < 2^31 that is
+// Int31n: a power of two masks one draw; otherwise a draw v is
+// rejected while it falls in the partial block of n values at the top
+// of [0, 2^31), and the result is v mod n. Int31n finds that block
+// with a second modulo per call; here v − v mod n, the start of v's
+// block, locates it with the one modulo the result needs anyway.
+func intn(rng *rand.Rand, n int) int {
+	if n > math.MaxInt32 {
+		return rng.Intn(n)
+	}
+	m := uint32(n)
+	v := uint32(rng.Int63() >> 32)
+	if m&(m-1) == 0 {
+		return int(v & (m - 1))
+	}
+	for {
+		q := v % m
+		if v-q <= 1<<31-m {
+			return int(q)
+		}
+		v = uint32(rng.Int63() >> 32)
 	}
 }

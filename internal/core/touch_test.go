@@ -327,3 +327,27 @@ func TestEpochOrderMatchesPerm(t *testing.T) {
 		t.Errorf("epochOrder allocates %v times per call, want 0", a)
 	}
 }
+
+// TestFillPermMatchesPerm: FillPerm's one-modulo draw yields
+// rand.Perm's permutation and leaves the source at the same position.
+// At 200000 some draws fall in a partial block and are redrawn, so the
+// rejection path is compared too.
+func TestFillPermMatchesPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 17, 1024, 200000} {
+		src, refSrc := NewSeededSource(int64(n)), NewSeededSource(int64(n))
+		got := make([]int, n)
+		FillPerm(rand.New(src), got)
+		want := rand.New(refSrc).Perm(n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: p[%d] = %d, rand.Perm gives %d", n, i, got[i], want[i])
+			}
+		}
+		if src.State() != refSrc.State() {
+			t.Fatalf("n=%d: source at %v, rand.Perm leaves it at %v", n, src.State(), refSrc.State())
+		}
+		if n == 200000 && src.State().Draws == uint64(n) {
+			t.Errorf("n=%d: no draw was rejected, the rejection path is not exercised", n)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"dimmwitted/internal/data"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
+	"dimmwitted/internal/vec"
 )
 
 // WorkloadKind identifies a workload family. It is threaded through
@@ -222,27 +223,33 @@ type Workload interface {
 	Metrics(x []float64) map[string]float64
 }
 
+// UnitStepper is implemented by every ConcurrencyDelta workload: the
+// parallel executor steps each flush segment of a claimed chunk with
+// one StepUnits call instead of one Step per unit.
+type UnitStepper interface {
+	// StepUnits runs Step(unit, ws, step, nil, nil) for each of units
+	// in order and returns the summed stats. When dirty is non-nil
+	// (only for a UnitCoordser whose SparseUnits holds) it also marks
+	// there the coordinates of X each writing step wrote.
+	StepUnits(units []int, ws *WorkState, step float64, dirty *vec.Dirty) model.Stats
+}
+
 // UnitCoordser is optionally implemented by ConcurrencyDelta workloads
 // whose work units each touch a small, statically known coordinate set
-// of the state vector. The parallel executor uses it to flush and
-// refresh only the coordinates a chunk actually dirtied — a sparse row
-// then costs O(nnz) per flush instead of O(dim) — so implementations
-// must guarantee Step reads and writes X only at UnitCoords(unit).
+// of the state vector. When SparseUnits holds, the parallel executor
+// hands StepUnits a dirty set and flushes and refreshes only the
+// coordinates marked there — a sparse row then costs O(nnz) per flush
+// instead of O(dim).
 //
-// The executor lists a unit's coordinates after its Step returns, and
-// only when the returned Stats report ModelWrites > 0. Implementations
-// must therefore also guarantee that a step reporting ModelWrites == 0
-// left X unchanged, and that a step that writes writes only at
-// UnitCoords(unit).
+// Implementations must therefore guarantee that a step reads and
+// writes X only at its unit's coordinate set, that a step reporting
+// ModelWrites == 0 left X unchanged, and that StepUnits marks every
+// coordinate a writing step changed.
 type UnitCoordser interface {
 	// SparseUnits reports whether per-unit coordinate sets apply under
 	// the bound plan (e.g. GLM row-wise steps over CSR rows; false for
 	// dense-update specs, whose steps touch the full dimension).
 	SparseUnits() bool
-	// UnitCoords returns the coordinates unit's Step touches. The slice
-	// is owned by the workload and must stay valid and unmutated for
-	// the engine's lifetime.
-	UnitCoords(unit int) []int32
 }
 
 // UnitToucher is optionally implemented by ConcurrencyDelta workloads

@@ -54,23 +54,35 @@ func (*LP) NewReplica(ds *data.Dataset) *Replica {
 	return r
 }
 
-// RowStep implements Spec: projected SGD on edge i's penalty piece.
-// The linear Σx term is apportioned to edges by endpoint degree so one
-// epoch over edges applies it exactly once per vertex.
+// RowStep implements Spec: RowSteps over edge i alone.
 func (lp *LP) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
-	idx, _ := ds.A.Row(i)
+	return lp.RowSteps(ds, []int{i}, r, step, nil)
+}
+
+// RowSteps implements Spec: projected SGD on each edge's penalty
+// piece, in order. The linear Σx term is apportioned to edges by
+// endpoint degree so one epoch over edges applies it exactly once per
+// vertex. Every step writes both endpoints.
+func (lp *LP) RowSteps(ds *data.Dataset, rows []int, r *Replica, step float64, dirty *vec.Dirty) Stats {
 	csc := ds.CSC()
-	u, v := int(idx[0]), int(idx[1])
-	viol := 1 - r.X[u] - r.X[v]
-	var penaltyGrad float64
-	if viol > 0 {
-		penaltyGrad = -2 * lp.Rho * viol
+	for _, i := range rows {
+		idx, _ := ds.A.Row(i)
+		u, v := int(idx[0]), int(idx[1])
+		viol := 1 - r.X[u] - r.X[v]
+		var penaltyGrad float64
+		if viol > 0 {
+			penaltyGrad = -2 * lp.Rho * viol
+		}
+		gu := 1/float64(csc.ColNNZ(u)) + penaltyGrad
+		gv := 1/float64(csc.ColNNZ(v)) + penaltyGrad
+		r.X[u] = vec.Clamp(r.X[u]-step*gu, 0, 1)
+		r.X[v] = vec.Clamp(r.X[v]-step*gv, 0, 1)
+		if dirty != nil {
+			dirty.Mark(idx)
+		}
 	}
-	gu := 1/float64(csc.ColNNZ(u)) + penaltyGrad
-	gv := 1/float64(csc.ColNNZ(v)) + penaltyGrad
-	r.X[u] = vec.Clamp(r.X[u]-step*gu, 0, 1)
-	r.X[v] = vec.Clamp(r.X[v]-step*gv, 0, 1)
-	return Stats{DataWords: 2, ModelReads: 2, ModelWrites: 2, Flops: 12}
+	n := len(rows)
+	return Stats{DataWords: 2 * n, ModelReads: 2 * n, ModelWrites: 2 * n, Flops: 12 * n}
 }
 
 // ColStep implements Spec: exact minimisation of F over x_j ∈ [0,1]
@@ -156,19 +168,28 @@ func (*LP) RefreshAux(ds *data.Dataset, r *Replica) {
 }
 
 // Loss implements Spec: the penalised objective, normalised per vertex.
-func (lp *LP) Loss(ds *data.Dataset, x []float64) float64 {
+func (lp *LP) Loss(ds *data.Dataset, x []float64) float64 { return foldLoss(lp, ds, x) }
+
+// LossTerms implements Spec: edge i's squared violation
+// max(0, 1 − x_u − x_v)², before the ρ weight.
+func (*LP) LossTerms(ds *data.Dataset, x []float64, lo int, terms []float64) {
+	for k := range terms {
+		idx, _ := ds.A.Row(lo + k)
+		terms[k] = 0
+		if viol := 1 - x[idx[0]] - x[idx[1]]; viol > 0 {
+			terms[k] = viol * viol
+		}
+	}
+}
+
+// FinishLoss implements Spec: the cover Σx plus the ρ-weighted
+// penalty, per vertex.
+func (lp *LP) FinishLoss(ds *data.Dataset, x []float64, total float64) float64 {
 	var cover float64
 	for _, v := range x {
 		cover += v
 	}
-	var penalty float64
-	for i := 0; i < ds.Rows(); i++ {
-		idx, _ := ds.A.Row(i)
-		if viol := 1 - x[idx[0]] - x[idx[1]]; viol > 0 {
-			penalty += viol * viol
-		}
-	}
-	return (cover + lp.Rho*penalty) / float64(ds.Cols())
+	return (cover + lp.Rho*total) / float64(ds.Cols())
 }
 
 // Combine implements Spec: Bismarck-style model averaging.

@@ -46,32 +46,46 @@ func sigmoid(t float64) float64 {
 	return 1 / (1 + math.Exp(-t))
 }
 
-// RowStep implements Spec: one SGD step on example i.
+// RowStep implements Spec: RowSteps over row i alone.
+func (lr *LR) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
+	return lr.RowSteps(ds, []int{i}, r, step, nil)
+}
+
+// RowSteps implements Spec: one SGD step per row, in order.
 //
 //	p = σ(y_i ⟨x, a_i⟩);  x += step · (1 − p) · y_i · a_i
-func (lr *LR) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
-	idx, vals := ds.A.Row(i)
-	y := ds.Labels[i]
-	st := Stats{
-		DataWords:   len(idx),
-		ModelReads:  len(idx),
-		ModelWrites: len(idx),
-		Flops:       4*len(idx) + 8,
-	}
-	if lr.Lambda > 0 && len(idx) > 0 {
-		shrink := 1 - step*lr.Lambda*float64(ds.Cols())/(float64(len(idx))*float64(ds.Rows()))
-		if shrink < 0 {
-			shrink = 0
+//
+// Every step writes the row's support.
+func (lr *LR) RowSteps(ds *data.Dataset, rows []int, r *Replica, step float64, dirty *vec.Dirty) Stats {
+	x := r.X
+	// shrunk counts the nonzeros of rows that took the L2 shrink.
+	nnz, shrunk := 0, 0
+	for _, i := range rows {
+		idx, vals := ds.A.Row(i)
+		y := ds.Labels[i]
+		nnz += len(idx)
+		if lr.Lambda > 0 && len(idx) > 0 {
+			shrink := 1 - step*lr.Lambda*float64(ds.Cols())/(float64(len(idx))*float64(ds.Rows()))
+			if shrink < 0 {
+				shrink = 0
+			}
+			for _, j := range idx {
+				x[j] *= shrink
+			}
+			shrunk += len(idx)
 		}
-		for _, j := range idx {
-			r.X[j] *= shrink
+		p := sigmoid(y * vec.SparseDot(vals, idx, x))
+		vec.SparseAXPY(step*(1-p)*y, vals, idx, x)
+		if dirty != nil {
+			dirty.Mark(idx)
 		}
-		st.ModelWrites += len(idx)
-		st.Flops += len(idx)
 	}
-	p := sigmoid(y * vec.SparseDot(vals, idx, r.X))
-	vec.SparseAXPY(step*(1-p)*y, vals, idx, r.X)
-	return st
+	return Stats{
+		DataWords:   nnz,
+		ModelReads:  nnz,
+		ModelWrites: nnz + shrunk,
+		Flops:       4*nnz + 8*len(rows) + shrunk,
+	}
 }
 
 // ColStep implements Spec: coordinate gradient step on x_j via
@@ -101,21 +115,27 @@ func (*LR) RefreshAux(*data.Dataset, *Replica) {}
 
 // Loss implements Spec: mean logistic loss, plus (λ/2N)‖x‖² when
 // regularised.
-func (lr *LR) Loss(ds *data.Dataset, x []float64) float64 {
-	var total float64
-	for i := 0; i < ds.Rows(); i++ {
-		idx, vals := ds.A.Row(i)
-		m := ds.Labels[i] * vec.SparseDot(vals, idx, x)
+func (lr *LR) Loss(ds *data.Dataset, x []float64) float64 { return foldLoss(lr, ds, x) }
+
+// LossTerms implements Spec: the logistic loss log(1 + e^{−y_i⟨x, a_i⟩}).
+func (*LR) LossTerms(ds *data.Dataset, x []float64, lo int, terms []float64) {
+	for k := range terms {
+		idx, vals := ds.A.Row(lo + k)
+		m := ds.Labels[lo+k] * vec.SparseDot(vals, idx, x)
 		// log(1 + e^{-m}) computed stably.
 		switch {
 		case m > 35:
-			// loss ~ e^{-m} ~ 0
+			terms[k] = 0 // loss ~ e^{-m} ~ 0
 		case m < -35:
-			total += -m
+			terms[k] = -m
 		default:
-			total += math.Log1p(math.Exp(-m))
+			terms[k] = math.Log1p(math.Exp(-m))
 		}
 	}
+}
+
+// FinishLoss implements Spec: the mean, plus the regulariser.
+func (lr *LR) FinishLoss(ds *data.Dataset, x []float64, total float64) float64 {
 	loss := total / float64(ds.Rows())
 	if lr.Lambda > 0 {
 		n := vec.Norm2(x)

@@ -34,18 +34,32 @@ func (*LS) NewReplica(ds *data.Dataset) *Replica {
 	return r
 }
 
-// RowStep implements Spec: one SGD step on example i.
+// RowStep implements Spec: RowSteps over row i alone.
+func (l *LS) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
+	return l.RowSteps(ds, []int{i}, r, step, nil)
+}
+
+// RowSteps implements Spec: one SGD step per row, in order.
 //
 //	e = ⟨x, a_i⟩ − y_i;  x −= step · e · a_i
-func (*LS) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
-	idx, vals := ds.A.Row(i)
-	e := vec.SparseDot(vals, idx, r.X) - ds.Labels[i]
-	vec.SparseAXPY(-step*e, vals, idx, r.X)
+//
+// Every step writes the row's support.
+func (*LS) RowSteps(ds *data.Dataset, rows []int, r *Replica, step float64, dirty *vec.Dirty) Stats {
+	nnz := 0
+	for _, i := range rows {
+		idx, vals := ds.A.Row(i)
+		e := vec.SparseDot(vals, idx, r.X) - ds.Labels[i]
+		vec.SparseAXPY(-step*e, vals, idx, r.X)
+		nnz += len(idx)
+		if dirty != nil {
+			dirty.Mark(idx)
+		}
+	}
 	return Stats{
-		DataWords:   len(idx),
-		ModelReads:  len(idx),
-		ModelWrites: len(idx),
-		Flops:       4 * len(idx),
+		DataWords:   nnz,
+		ModelReads:  nnz,
+		ModelWrites: nnz,
+		Flops:       4 * nnz,
 	}
 }
 
@@ -90,13 +104,19 @@ func (*LS) RefreshAux(ds *data.Dataset, r *Replica) {
 }
 
 // Loss implements Spec: mean squared error (half).
-func (*LS) Loss(ds *data.Dataset, x []float64) float64 {
-	var total float64
-	for i := 0; i < ds.Rows(); i++ {
-		idx, vals := ds.A.Row(i)
-		e := vec.SparseDot(vals, idx, x) - ds.Labels[i]
-		total += 0.5 * e * e
+func (l *LS) Loss(ds *data.Dataset, x []float64) float64 { return foldLoss(l, ds, x) }
+
+// LossTerms implements Spec: the half squared error ½(⟨x, a_i⟩ − y_i)².
+func (*LS) LossTerms(ds *data.Dataset, x []float64, lo int, terms []float64) {
+	for k := range terms {
+		idx, vals := ds.A.Row(lo + k)
+		e := vec.SparseDot(vals, idx, x) - ds.Labels[lo+k]
+		terms[k] = 0.5 * e * e
 	}
+}
+
+// FinishLoss implements Spec: the mean.
+func (*LS) FinishLoss(ds *data.Dataset, _ []float64, total float64) float64 {
 	return total / float64(ds.Rows())
 }
 

@@ -36,23 +36,35 @@ func (*QP) NewReplica(ds *data.Dataset) *Replica {
 	return &Replica{X: make([]float64, ds.Cols())}
 }
 
-// RowStep implements Spec: SGD on edge i. The anchor term of each
-// endpoint is apportioned by its degree so one epoch applies it once.
+// RowStep implements Spec: RowSteps over edge i alone.
 func (qp *QP) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
-	idx, _ := ds.A.Row(i)
+	return qp.RowSteps(ds, []int{i}, r, step, nil)
+}
+
+// RowSteps implements Spec: SGD on each edge, in order. The anchor
+// term of each endpoint is apportioned by its degree so one epoch
+// applies it once. Every step writes both endpoints.
+func (qp *QP) RowSteps(ds *data.Dataset, rows []int, r *Replica, step float64, dirty *vec.Dirty) Stats {
 	csc := ds.CSC()
-	u, v := int(idx[0]), int(idx[1])
-	d := r.X[u] - r.X[v]
-	gu, gv := d, -d
-	if a := ds.Anchors[u]; a != 0 {
-		gu += qp.Lambda / float64(csc.ColNNZ(u)) * (r.X[u] - a)
+	for _, i := range rows {
+		idx, _ := ds.A.Row(i)
+		u, v := int(idx[0]), int(idx[1])
+		d := r.X[u] - r.X[v]
+		gu, gv := d, -d
+		if a := ds.Anchors[u]; a != 0 {
+			gu += qp.Lambda / float64(csc.ColNNZ(u)) * (r.X[u] - a)
+		}
+		if a := ds.Anchors[v]; a != 0 {
+			gv += qp.Lambda / float64(csc.ColNNZ(v)) * (r.X[v] - a)
+		}
+		r.X[u] -= step * gu
+		r.X[v] -= step * gv
+		if dirty != nil {
+			dirty.Mark(idx)
+		}
 	}
-	if a := ds.Anchors[v]; a != 0 {
-		gv += qp.Lambda / float64(csc.ColNNZ(v)) * (r.X[v] - a)
-	}
-	r.X[u] -= step * gu
-	r.X[v] -= step * gv
-	return Stats{DataWords: 2, ModelReads: 2, ModelWrites: 2, Flops: 12}
+	n := len(rows)
+	return Stats{DataWords: 2 * n, ModelReads: 2 * n, ModelWrites: 2 * n, Flops: 12 * n}
 }
 
 // ColStep implements Spec: exact coordinate minimisation of vertex j,
@@ -92,13 +104,19 @@ func (qp *QP) ColStep(ds *data.Dataset, j int, r *Replica, step float64) Stats {
 func (*QP) RefreshAux(*data.Dataset, *Replica) {}
 
 // Loss implements Spec: the smoothing objective, normalised per vertex.
-func (qp *QP) Loss(ds *data.Dataset, x []float64) float64 {
-	var total float64
-	for i := 0; i < ds.Rows(); i++ {
-		idx, _ := ds.A.Row(i)
+func (qp *QP) Loss(ds *data.Dataset, x []float64) float64 { return foldLoss(qp, ds, x) }
+
+// LossTerms implements Spec: edge i's smoothing term ½(x_u − x_v)².
+func (*QP) LossTerms(ds *data.Dataset, x []float64, lo int, terms []float64) {
+	for k := range terms {
+		idx, _ := ds.A.Row(lo + k)
 		d := x[idx[0]] - x[idx[1]]
-		total += 0.5 * d * d
+		terms[k] = 0.5 * d * d
 	}
+}
+
+// FinishLoss implements Spec: the anchor terms, then per vertex.
+func (qp *QP) FinishLoss(ds *data.Dataset, x []float64, total float64) float64 {
 	for v, a := range ds.Anchors {
 		if a != 0 {
 			e := x[v] - a

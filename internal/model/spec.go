@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"dimmwitted/internal/data"
+	"dimmwitted/internal/vec"
 )
 
 // Access identifies one of the paper's three data access methods
@@ -114,6 +115,12 @@ type Spec interface {
 	NewReplica(ds *data.Dataset) *Replica
 	// RowStep applies f_row for row i with the given step size.
 	RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats
+	// RowSteps applies RowStep to each of rows in order and returns
+	// the summed stats. When dirty is non-nil it also marks there the
+	// coordinates of X that each writing step wrote (the row's support
+	// for the sparse-update specs); a step reporting ModelWrites == 0
+	// leaves X unchanged and marks nothing.
+	RowSteps(ds *data.Dataset, rows []int, r *Replica, step float64, dirty *vec.Dirty) Stats
 	// ColStep applies f_col/f_ctr for column j with the given step size.
 	ColStep(ds *data.Dataset, j int, r *Replica, step float64) Stats
 	// RefreshAux recomputes auxiliary state from the model, called
@@ -134,8 +141,49 @@ type Spec interface {
 	// zeroed at the start of each epoch, combined once at the end, and
 	// never synchronized mid-epoch, because Combine is not idempotent.
 	Aggregate() bool
-	// Loss evaluates the objective at model x over the full dataset.
+	// Loss evaluates the objective at model x over the full dataset:
+	// every row's loss term, summed in row order, through FinishLoss.
 	Loss(ds *data.Dataset, x []float64) float64
+	// LossTerms writes the loss term of row lo+k at model x into
+	// terms[k], for every k.
+	LossTerms(ds *data.Dataset, x []float64, lo int, terms []float64)
+	// FinishLoss maps the row-ordered sum of every row's loss term to
+	// the objective: the mean, plus whatever part of the objective is
+	// not a sum over rows (a regulariser, the LP cover, the QP
+	// anchors).
+	FinishLoss(ds *data.Dataset, x []float64, total float64) float64
+}
+
+// lossBlock is how many row terms foldLoss evaluates per LossTerms call.
+const lossBlock = 256
+
+// foldLoss is every spec's Loss: the row terms in row order, a block
+// at a time through a stack buffer, then the spec's FinishLoss.
+func foldLoss(s Spec, ds *data.Dataset, x []float64) float64 {
+	var buf [lossBlock]float64
+	var total float64
+	for lo := 0; lo < ds.Rows(); lo += lossBlock {
+		terms := buf[:min(lossBlock, ds.Rows()-lo)]
+		s.LossTerms(ds, x, lo, terms)
+		total = addTerms(total, terms)
+	}
+	return s.FinishLoss(ds, x, total)
+}
+
+// LossFromTerms is the objective from every row's loss term, given in
+// row order (LossTerms over all rows, filled in any bands): the same
+// row-ordered sum and FinishLoss as Loss, so the result is bitwise
+// Loss's.
+func LossFromTerms(s Spec, ds *data.Dataset, x []float64, terms []float64) float64 {
+	return s.FinishLoss(ds, x, addTerms(0, terms))
+}
+
+// addTerms adds terms to total in order.
+func addTerms(total float64, terms []float64) float64 {
+	for _, t := range terms {
+		total += t
+	}
+	return total
 }
 
 // ByName constructs a model specification from its short name.

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dimmwitted/internal/data"
+	"dimmwitted/internal/vec"
 )
 
 // ParallelSum is the trivial "statistical model" behind the paper's
@@ -48,6 +49,22 @@ func (*ParallelSum) RowStep(ds *data.Dataset, i int, r *Replica, _ float64) Stat
 	return Stats{DataWords: len(vals), ModelReads: 1, ModelWrites: 1, Flops: len(vals) + 1}
 }
 
+// accumulator is the one coordinate every parallel-sum step writes.
+var accumulator = []int32{0}
+
+// RowSteps implements Spec. Every row writes the accumulator, so that
+// is all dirty ever holds.
+func (p *ParallelSum) RowSteps(ds *data.Dataset, rows []int, r *Replica, step float64, dirty *vec.Dirty) Stats {
+	var st Stats
+	for _, i := range rows {
+		st.Add(p.RowStep(ds, i, r, step))
+	}
+	if dirty != nil && len(rows) > 0 {
+		dirty.Mark(accumulator)
+	}
+	return st
+}
+
 // ColStep implements Spec: fold column j into the accumulator.
 func (*ParallelSum) ColStep(ds *data.Dataset, j int, r *Replica, _ float64) Stats {
 	_, vals := ds.CSC().Col(j)
@@ -64,7 +81,17 @@ func (*ParallelSum) RefreshAux(*data.Dataset, *Replica) {}
 
 // Loss implements Spec: relative error of the accumulator against the
 // true total of the matrix.
-func (*ParallelSum) Loss(ds *data.Dataset, x []float64) float64 {
+func (p *ParallelSum) Loss(ds *data.Dataset, x []float64) float64 { return foldLoss(p, ds, x) }
+
+// LossTerms implements Spec: every term is 0. The objective is not a
+// sum over rows; FinishLoss computes all of it.
+func (*ParallelSum) LossTerms(_ *data.Dataset, _ []float64, _ int, terms []float64) {
+	clear(terms)
+}
+
+// FinishLoss implements Spec: the accumulator's distance from the
+// matrix total, relative to that total.
+func (*ParallelSum) FinishLoss(ds *data.Dataset, x []float64, _ float64) float64 {
 	var truth float64
 	for _, v := range ds.A.Vals {
 		truth += v

@@ -43,34 +43,55 @@ func (*SVM) NewReplica(ds *data.Dataset) *Replica {
 	return &Replica{X: make([]float64, ds.Cols())}
 }
 
-// RowStep implements Spec: one SGD step on example i.
+// RowStep implements Spec: RowSteps over row i alone.
+func (s *SVM) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
+	return s.RowSteps(ds, []int{i}, r, step, nil)
+}
+
+// RowSteps implements Spec: one SGD step per row, in order.
 //
 //	margin = y_i ⟨x, a_i⟩;  if margin < 1:  x += step · y_i · a_i
 //
 // With Lambda > 0 the support coordinates are first shrunk by
-// step·Lambda·d/(nᵢ·N), support-scaled lazy L2.
-func (s *SVM) RowStep(ds *data.Dataset, i int, r *Replica, step float64) Stats {
-	idx, vals := ds.A.Row(i)
-	y := ds.Labels[i]
-	margin := y * vec.SparseDot(vals, idx, r.X)
-	st := Stats{DataWords: len(idx), ModelReads: len(idx), Flops: 2 * len(idx)}
-	if s.Lambda > 0 && len(idx) > 0 {
-		shrink := 1 - step*s.Lambda*float64(ds.Cols())/(float64(len(idx))*float64(ds.Rows()))
-		if shrink < 0 {
-			shrink = 0
+// step·Lambda·d/(nᵢ·N), support-scaled lazy L2. Without it, a row
+// whose margin is at least 1 writes nothing and marks nothing.
+func (s *SVM) RowSteps(ds *data.Dataset, rows []int, r *Replica, step float64, dirty *vec.Dirty) Stats {
+	x := r.X
+	// nnz counts the rows' nonzeros; shrunk and updated those of rows
+	// that took the shrink and the hinge update.
+	nnz, shrunk, updated := 0, 0, 0
+	for _, i := range rows {
+		idx, vals := ds.A.Row(i)
+		y := ds.Labels[i]
+		margin := y * vec.SparseDot(vals, idx, x)
+		nnz += len(idx)
+		wrote := false
+		if s.Lambda > 0 && len(idx) > 0 {
+			shrink := 1 - step*s.Lambda*float64(ds.Cols())/(float64(len(idx))*float64(ds.Rows()))
+			if shrink < 0 {
+				shrink = 0
+			}
+			for _, j := range idx {
+				x[j] *= shrink
+			}
+			shrunk += len(idx)
+			wrote = true
 		}
-		for _, j := range idx {
-			r.X[j] *= shrink
+		if margin < 1 {
+			vec.SparseAXPY(step*y, vals, idx, x)
+			updated += len(idx)
+			wrote = true
 		}
-		st.ModelWrites += len(idx)
-		st.Flops += len(idx)
+		if wrote && dirty != nil {
+			dirty.Mark(idx)
+		}
 	}
-	if margin < 1 {
-		vec.SparseAXPY(step*y, vals, idx, r.X)
-		st.ModelWrites += len(idx)
-		st.Flops += 2 * len(idx)
+	return Stats{
+		DataWords:   nnz,
+		ModelReads:  nnz,
+		ModelWrites: shrunk + updated,
+		Flops:       2*nnz + shrunk + 2*updated,
 	}
-	return st
 }
 
 // ColStep implements Spec: one coordinate subgradient step on
@@ -104,15 +125,22 @@ func (*SVM) RefreshAux(*data.Dataset, *Replica) {}
 
 // Loss implements Spec: mean hinge loss, plus (λ/2N)‖x‖² when
 // regularised.
-func (s *SVM) Loss(ds *data.Dataset, x []float64) float64 {
-	var total float64
-	for i := 0; i < ds.Rows(); i++ {
-		idx, vals := ds.A.Row(i)
-		margin := ds.Labels[i] * vec.SparseDot(vals, idx, x)
+func (s *SVM) Loss(ds *data.Dataset, x []float64) float64 { return foldLoss(s, ds, x) }
+
+// LossTerms implements Spec: the hinge loss max(0, 1 − y_i⟨x, a_i⟩).
+func (*SVM) LossTerms(ds *data.Dataset, x []float64, lo int, terms []float64) {
+	for k := range terms {
+		idx, vals := ds.A.Row(lo + k)
+		margin := ds.Labels[lo+k] * vec.SparseDot(vals, idx, x)
+		terms[k] = 0
 		if h := 1 - margin; h > 0 {
-			total += h
+			terms[k] = h
 		}
 	}
+}
+
+// FinishLoss implements Spec: the mean, plus the regulariser.
+func (s *SVM) FinishLoss(ds *data.Dataset, x []float64, total float64) float64 {
 	loss := total / float64(ds.Rows())
 	if s.Lambda > 0 {
 		n := vec.Norm2(x)

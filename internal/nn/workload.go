@@ -192,6 +192,17 @@ func (w *Workload) Step(unit int, ws *core.WorkState, step float64, _ *rand.Rand
 	}
 }
 
+// StepUnits implements core.UnitStepper: Step over each unit. The
+// network's update is dense, so there are no coordinate sets and dirty
+// is always nil.
+func (w *Workload) StepUnits(units []int, ws *core.WorkState, step float64, _ *vec.Dirty) model.Stats {
+	var st model.Stats
+	for _, u := range units {
+		st.Add(w.Step(u, ws, step, nil, nil))
+	}
+	return st
+}
+
 // Sync implements core.Workload: network replicas average, Bismarck
 // style.
 func (w *Workload) Sync() core.SyncMode { return core.SyncAverage }

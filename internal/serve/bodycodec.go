@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -43,7 +44,8 @@ func readBody(buf *bytes.Buffer, r io.Reader, declared int64) error {
 
 // decodeBody reads the whole (capped) body into a pooled buffer and
 // decodes it with fast, the route's canonical scanner, falling back to
-// encoding/json on anything the scanner does not claim, so every error
+// encoding/json on anything the scanner does not claim
+// (errNotCanonical), so every error but the scanner's own refusals
 // keeps encoding/json's wording. The body is read in full before any
 // of it is decoded, so a body over the cap answers 413 even when its
 // first JSON value would have decoded (or failed) within it; any other
@@ -54,7 +56,7 @@ func readBody(buf *bytes.Buffer, r io.Reader, declared int64) error {
 // safe because nothing decoded aliases it: the scanner copies strings
 // out and carves numbers into its own arenas, and encoding/json copies
 // everything it keeps.
-func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, what string, fast func([]byte) (T, bool), clock *stageClock) (T, bool) {
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, what string, fast func([]byte) (T, error), clock *stageClock) (T, bool) {
 	buf := getBuf()
 	defer putBuf(buf)
 	var req T
@@ -63,11 +65,12 @@ func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, what s
 		clock.lap(stageRead)
 	}
 	if err == nil {
-		var ok bool
-		if req, ok = fast(buf.Bytes()); ok {
+		if req, err = fast(buf.Bytes()); err == nil {
 			return req, true
 		}
-		err = json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req)
+		if err == errNotCanonical {
+			err = json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req)
+		}
 	}
 	if err != nil {
 		s.writeBodyError(w, err, what)
@@ -87,31 +90,36 @@ func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, what s
 // accept set. "[]" decodes to an empty non-nil slice and an absent key
 // leaves nil, as encoding/json does.
 //
-// ok == false means "not mine", never "invalid": null, duplicate,
+// errNotCanonical means "not mine", never "invalid": null, duplicate,
 // case-variant or unknown keys, string escapes or non-ASCII, trailing
 // data, integers out of range, fractional indices and malformed JSON
 // all fall back to encoding/json, which stays the reference for every
-// edge case and error message.
-func decodeAppend(b []byte) (appendRequest, bool) {
+// edge case and error message. The one refusal is errLongNumber (see
+// float.go), which encoding/json would decode to a wrong value.
+func decodeAppend(b []byte) (appendRequest, error) {
 	s := scanner{b: b}
 	req, ok := s.appendRequest()
 	if !ok || !s.end() {
-		return appendRequest{}, false
+		return appendRequest{}, s.failure()
 	}
-	return req, true
+	return req, nil
 }
+
+// errNotCanonical is the scanner's "not mine": the body is left to
+// encoding/json.
+var errNotCanonical = errors.New("serve: body is not in the scanner's canonical shape")
 
 // decodePredict parses a predict body in the canonical shape —
 // {"model":"...","examples":[{"indices":[...],"values":[...]}|
 // {"dense":[...]},...]}, keys in any order — under decodeAppend's
 // contract, word for word.
-func decodePredict(b []byte) (predictRequest, bool) {
+func decodePredict(b []byte) (predictRequest, error) {
 	s := scanner{b: b}
 	req, ok := s.predictRequest()
 	if !ok || !s.end() {
-		return predictRequest{}, false
+		return predictRequest{}, s.failure()
 	}
-	return req, true
+	return req, nil
 }
 
 // scanner is a cursor over a request body. Integer and float arrays
@@ -122,6 +130,18 @@ type scanner struct {
 	i      int
 	ints   []int32
 	floats []float64
+	// err is set when the scanner refuses the body rather than leaving
+	// it to encoding/json.
+	err error
+}
+
+// failure is a decode's error once the scanner has stopped: its
+// refusal, or errNotCanonical.
+func (s *scanner) failure() error {
+	if s.err != nil {
+		return s.err
+	}
+	return errNotCanonical
 }
 
 // ws skips whitespace. Compact bodies (what json.Marshal writes) carry

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,9 +97,9 @@ var fallbackAppendBodies = []string{
 
 func TestAppendDecodeCanonicalMatchesEncodingJSON(t *testing.T) {
 	for _, body := range canonicalAppendBodies(t) {
-		got, ok := decodeAppend(body)
-		if !ok {
-			t.Errorf("scanner refused a canonical body: %s", body)
+		got, err := decodeAppend(body)
+		if err != nil {
+			t.Errorf("scanner refused a canonical body: %s: %v", body, err)
 			continue
 		}
 		var want appendRequest
@@ -113,15 +114,17 @@ func TestAppendDecodeCanonicalMatchesEncodingJSON(t *testing.T) {
 
 func TestAppendDecodeFallsBack(t *testing.T) {
 	for _, body := range fallbackAppendBodies {
-		if req, ok := decodeAppend([]byte(body)); ok {
-			t.Errorf("scanner claimed non-canonical body %q as %#v", body, req)
+		if req, err := decodeAppend([]byte(body)); err != errNotCanonical {
+			t.Errorf("scanner did not leave non-canonical body %q to encoding/json: %#v, %v", body, req, err)
 		}
 	}
 }
 
 // FuzzAppendDecode is the differential check on the append fast path:
 // whatever the scanner accepts, encoding/json must also decode without
-// error into a deeply equal value, nil-versus-empty slices included.
+// error into a deeply equal value, nil-versus-empty slices included,
+// and the scanner refuses only bodies holding a number literal too long
+// for strconv.ParseFloat.
 func FuzzAppendDecode(f *testing.F) {
 	for _, body := range canonicalAppendBodies(f) {
 		f.Add(body)
@@ -130,8 +133,9 @@ func FuzzAppendDecode(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, ok := decodeAppend(body)
-		if !ok {
+		got, err := decodeAppend(body)
+		if err != nil {
+			checkRefusal(t, body, err)
 			return
 		}
 		var want appendRequest
@@ -318,9 +322,9 @@ var fallbackPredictBodies = []string{
 
 func TestPredictDecodeCanonicalMatchesEncodingJSON(t *testing.T) {
 	for _, body := range canonicalPredictBodies(t) {
-		got, ok := decodePredict(body)
-		if !ok {
-			t.Errorf("scanner refused a canonical body: %s", body)
+		got, err := decodePredict(body)
+		if err != nil {
+			t.Errorf("scanner refused a canonical body: %s: %v", body, err)
 			continue
 		}
 		var want predictRequest
@@ -335,16 +339,14 @@ func TestPredictDecodeCanonicalMatchesEncodingJSON(t *testing.T) {
 
 func TestPredictDecodeFallsBack(t *testing.T) {
 	for _, body := range fallbackPredictBodies {
-		if req, ok := decodePredict([]byte(body)); ok {
-			t.Errorf("scanner claimed non-canonical body %q as %#v", body, req)
+		if req, err := decodePredict([]byte(body)); err != errNotCanonical {
+			t.Errorf("scanner did not leave non-canonical body %q to encoding/json: %#v, %v", body, req, err)
 		}
 	}
 }
 
 // FuzzPredictDecode is the differential check on the predict fast
-// path: whatever the scanner accepts, encoding/json must also decode
-// without error into a deeply equal value, nil-versus-empty slices
-// included.
+// path, under FuzzAppendDecode's contract.
 func FuzzPredictDecode(f *testing.F) {
 	for _, body := range canonicalPredictBodies(f) {
 		f.Add(body)
@@ -353,8 +355,9 @@ func FuzzPredictDecode(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, ok := decodePredict(body)
-		if !ok {
+		got, err := decodePredict(body)
+		if err != nil {
+			checkRefusal(t, body, err)
 			return
 		}
 		var want predictRequest
@@ -390,13 +393,13 @@ func TestPredictDecodeArenaGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := decodePredict(body)
+	got, derr := decodePredict(body)
 	var want predictRequest
 	if err := json.Unmarshal(body, &want); err != nil {
 		t.Fatal(err)
 	}
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("scanner (ok %v) and encoding/json disagree on a %d-byte body", ok, len(body))
+	if derr != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanner (%v) and encoding/json disagree on a %d-byte body", derr, len(body))
 	}
 	for i, ex := range got.Examples {
 		if cap(ex.Indices) != len(ex.Indices) || cap(ex.Values) != len(ex.Values) || cap(ex.Dense) != len(ex.Dense) {
@@ -421,10 +424,10 @@ func TestDecodeGarbageAllocatesLittle(t *testing.T) {
 		{append([]byte(`{"rows":[{"values":[`), commas...), 1},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, ok := decodePredict(tc.body); ok {
+			if _, err := decodePredict(tc.body); err == nil {
 				t.Fatal("scanner claimed garbage")
 			}
-			if _, ok := decodeAppend(tc.body); ok {
+			if _, err := decodeAppend(tc.body); err == nil {
 				t.Fatal("scanner claimed garbage")
 			}
 		})
@@ -641,6 +644,10 @@ func checkScanFloat(t *testing.T, b []byte) {
 	t.Helper()
 	s := scanner{b: b}
 	got, ok := s.float()
+	if s.err != nil {
+		checkRefusal(t, b, s.err)
+		return
+	}
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.UseNumber()
 	var v any
@@ -667,6 +674,78 @@ func checkScanFloat(t *testing.T, b []byte) {
 	}
 }
 
+// checkRefusal checks a scanner's error: errNotCanonical, or
+// errLongNumber for input that holds a number literal with more than
+// 800 significant digits.
+func checkRefusal(t *testing.T, b []byte, err error) {
+	t.Helper()
+	switch {
+	case err == errNotCanonical:
+	case err != errLongNumber:
+		t.Fatalf("%.60q: scanner error %v", b, err)
+	case !hasLongNumber(b):
+		t.Fatalf("%.60q: refused, but no literal in it has more than 800 significant digits", b)
+	}
+}
+
+// mantissaRE matches the digits of a number literal up to its exponent.
+var mantissaRE = regexp.MustCompile(`[0-9]+(\.[0-9]*)?`)
+
+// hasLongNumber reports whether b holds a digit run with more than 800
+// digits after its leading zeros, a decimal point not counted.
+func hasLongNumber(b []byte) bool {
+	for _, m := range mantissaRE.FindAll(b, -1) {
+		if len(strings.TrimLeft(strings.Replace(string(m), ".", "", 1), "0")) > 800 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLongNumberRefused: a literal whose 10001-digit integer part
+// outruns strconv.ParseFloat's 800-digit buffer, which encoding/json
+// reads as 0, is refused by the scanner, both body decoders and both
+// routes (400); at 800 significant digits the value is read exactly.
+func TestLongNumberRefused(t *testing.T) {
+	long := "1" + strings.Repeat("0", 10000) + "e-10000"
+	s := scanner{b: []byte(long)}
+	if f, ok := s.float(); ok || s.err != errLongNumber {
+		t.Fatalf("float() = %v, %v, err %v; want a refusal", f, ok, s.err)
+	}
+	predict := `{"model":"m","examples":[{"dense":[` + long + `]}]}`
+	if _, err := decodePredict([]byte(predict)); err != errLongNumber {
+		t.Errorf("decodePredict: %v, want errLongNumber", err)
+	}
+	appendBody := `{"rows":[{"dense":[1],"label":` + long + `}]}`
+	if _, err := decodeAppend([]byte(appendBody)); err != errLongNumber {
+		t.Errorf("decodeAppend: %v, want errLongNumber", err)
+	}
+	edge := "1" + strings.Repeat("0", 799) + "e-799"
+	s = scanner{b: []byte(edge)}
+	if f, ok := s.float(); !ok || f != 1 {
+		t.Errorf("800 significant digits: float() = %v, %v, want 1", f, ok)
+	}
+
+	_, ts := newTestServer(t, Options{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/predict", predict},
+		{"/v1/datasets/long-stream/append", appendBody},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "significant digits") {
+			t.Errorf("POST %s: %d %q, want 400 naming the digit limit", c.path, resp.StatusCode, e.Error)
+		}
+	}
+}
+
 func TestScanFloatEdges(t *testing.T) {
 	for _, lit := range floatEdgeLiterals() {
 		checkScanFloat(t, []byte(lit))
@@ -674,11 +753,15 @@ func TestScanFloatEdges(t *testing.T) {
 	// Literals too long for fuzz seeds. strconv stops counting an
 	// exponent once it reaches 10000; a literal long enough to bring
 	// the true exponent back into range shows that the scanner counts
-	// the same way.
+	// the same way, and literals up to 800 significant digits are read
+	// as strconv reads them.
 	for _, lit := range []string{
 		"1" + strings.Repeat("0", 10000) + "e-10000",
 		"1" + strings.Repeat("0", 10000) + "e-00000000000000010005",
 		"1234567890123456789" + strings.Repeat("0", 99982) + "e-100005",
+		"1" + strings.Repeat("0", 799) + "e-799",
+		"0." + strings.Repeat("0", 10000) + "1" + strings.Repeat("7", 799) + "e10001",
+		"3" + strings.Repeat("0", 900) + "e-901",
 	} {
 		checkScanFloat(t, []byte(lit))
 	}
@@ -712,7 +795,8 @@ func TestPowersOfTenTable(t *testing.T) {
 
 // FuzzScanFloat is the differential check on the float path: a
 // claimed literal ends where the JSON grammar ends and is bitwise
-// strconv.ParseFloat's value.
+// strconv.ParseFloat's value, and only a literal with more than 800
+// significant digits is refused.
 func FuzzScanFloat(f *testing.F) {
 	for _, lit := range floatEdgeLiterals() {
 		f.Add([]byte(lit))
@@ -856,17 +940,17 @@ func benchAppendBody(tb testing.TB) []byte {
 // bench-shaped body: the float path allocates nothing of its own.
 func TestDecodePredictAllocs(t *testing.T) {
 	body := benchPredictBody(t)
-	got, ok := decodePredict(body)
+	got, derr := decodePredict(body)
 	var want predictRequest
 	if err := json.Unmarshal(body, &want); err != nil {
 		t.Fatal(err)
 	}
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("scanner (ok %v) and encoding/json disagree on the bench body", ok)
+	if derr != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanner (%v) and encoding/json disagree on the bench body", derr)
 	}
 	const maxAllocs = 13
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, ok := decodePredict(body); !ok {
+		if _, err := decodePredict(body); err != nil {
 			t.Fatal("scanner refused the bench body")
 		}
 	})
@@ -888,8 +972,8 @@ func BenchmarkDecodePredict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req, ok := decodePredict(body)
-		if !ok {
+		req, err := decodePredict(body)
+		if err != nil {
 			b.Fatal("scanner refused the bench body")
 		}
 		decodeSink += len(req.Examples)
@@ -908,8 +992,8 @@ func BenchmarkDecodeAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req, ok := decodeAppend(body)
-		if !ok {
+		req, err := decodeAppend(body)
+		if err != nil {
 			b.Fatal("scanner refused the bench body")
 		}
 		decodeSink += len(req.Rows)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
@@ -16,7 +17,10 @@ import (
 // https://nigeltao.github.io/blog/2020/eisel-lemire.html), with
 // strconv.ParseFloat itself as the fallback whenever it cannot decide.
 // Both are correctly rounded, so every value is bitwise what
-// strconv.ParseFloat, and so encoding/json, returns.
+// strconv.ParseFloat, and so encoding/json, returns. The exception is a
+// literal with more than 800 significant digits that reaches the
+// fallback: strconv misplaces its decimal point, so the scanner refuses
+// it (see maxSignificantDigits).
 //
 // A fraction's digits are read eight to a load (SWAR, "SIMD within a
 // register", from the same paper): one little-endian 64-bit load holds
@@ -48,7 +52,8 @@ func digitsValue(v uint64) uint64 {
 }
 
 // float parses a JSON number literal. A literal strconv.ParseFloat
-// rejects as out of range is not canonical.
+// rejects as out of range is not canonical; one it would misread is
+// refused through s.err.
 func (s *scanner) float() (float64, bool) {
 	s.ws()
 	b, i := s.b, s.i
@@ -131,8 +136,38 @@ func (s *scanner) float() (float64, bool) {
 			return f, true
 		}
 	}
+	if significantDigits(b[start:i]) > maxSignificantDigits {
+		s.err = errLongNumber
+		return 0, false
+	}
 	f, err := strconv.ParseFloat(string(b[start:i]), 64)
 	return f, err == nil
+}
+
+// maxSignificantDigits is the most significant digits a literal may
+// carry into strconv.ParseFloat. Its slow path keeps 800 digits and
+// takes the decimal point's place from that capped count, so a longer
+// integer part lands at the wrong power of ten: "1" followed by 10000
+// zeros and "e-10000" reads as 0, and encoding/json returns the same.
+const maxSignificantDigits = 800
+
+// errLongNumber refuses a literal strconv.ParseFloat cannot read
+// correctly: the request answers 400 instead of carrying a wrong value.
+var errLongNumber = fmt.Errorf("number literal has more than %d significant digits", maxSignificantDigits)
+
+// significantDigits counts a number literal's mantissa digits from its
+// first nonzero digit on, through the fraction.
+func significantDigits(lit []byte) int {
+	n := 0
+	for _, c := range lit {
+		switch {
+		case c == 'e' || c == 'E':
+			return n
+		case c-'1' < 9 || c == '0' && n > 0:
+			n++
+		}
+	}
+	return n
 }
 
 // eiselLemire64 returns man·10^exp10 correctly rounded, or false when

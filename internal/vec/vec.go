@@ -77,30 +77,15 @@ func (a *Atomic) Snapshot(dst []float64) {
 	}
 }
 
-// AddDelta atomically adds cur[i]-base[i] to every component whose
-// delta is nonzero — one worker's batched flush of locally accumulated
-// updates to a shared master (the paper's "batch writes across
-// sockets" technique). cur and base must have length Len().
-func (a *Atomic) AddDelta(cur, base []float64) {
-	for i := range a.bits {
-		if d := cur[i] - base[i]; d != 0 {
-			a.Add(i, d)
-		}
-	}
-}
-
 // FlushDelta is one worker's batched flush of locally accumulated
 // updates, fused into a single pass: for every component it pushes the
 // local delta cur[i]-base[i] to the master and refreshes cur and base
 // with the master's resulting value, so the worker's next chunk trains
-// on a view that includes its peers' flushed updates. It replaces the
-// three-pass AddDelta + Snapshot + copy sequence the flush used to be —
-// on the measured hot path, one traversal of three cache-resident
-// arrays instead of three.
+// on a view that includes its peers' flushed updates, in one traversal
+// of three cache-resident arrays.
 //
 // cur and base must have length Len(). With a single writer the
-// refreshed values equal cur exactly, so single-worker runs stay
-// bit-identical to the unfused sequence.
+// refreshed values equal cur exactly.
 func (a *Atomic) FlushDelta(cur, base []float64) {
 	for i := range a.bits {
 		var nv float64
@@ -128,6 +113,41 @@ func (a *Atomic) FlushDeltaSparse(cur, base []float64, idx []int32) {
 			cur[j], base[j] = nv, nv
 		}
 	}
+}
+
+// Dirty is a set of coordinates of an n-vector, kept in the order they
+// were first marked: a worker's written coordinates since its last
+// sparse flush. A byte per coordinate dedups, so marking a coordinate
+// again is one load; Reset clears through the list, so it costs the
+// set's size, not n.
+type Dirty struct {
+	seen []byte
+	list []int32
+}
+
+// NewDirty returns an empty set over coordinates 0..n-1.
+func NewDirty(n int) *Dirty { return &Dirty{seen: make([]byte, n)} }
+
+// Mark adds every coordinate of idx not yet in the set.
+func (d *Dirty) Mark(idx []int32) {
+	for _, j := range idx {
+		if d.seen[j] == 0 {
+			d.seen[j] = 1
+			d.list = append(d.list, j)
+		}
+	}
+}
+
+// List returns the marked coordinates in first-marked order. The slice
+// is valid until the next Mark or Reset.
+func (d *Dirty) List() []int32 { return d.list }
+
+// Reset empties the set.
+func (d *Dirty) Reset() {
+	for _, j := range d.list {
+		d.seen[j] = 0
+	}
+	d.list = d.list[:0]
 }
 
 // CopyFrom atomically stores each component of src, which must have
@@ -197,13 +217,6 @@ func Norm2(v []float64) float64 {
 func Scale(alpha float64, v []float64) {
 	for i := range v {
 		v[i] *= alpha
-	}
-}
-
-// Fill sets every component of v to c.
-func Fill(v []float64, c float64) {
-	for i := range v {
-		v[i] = c
 	}
 }
 

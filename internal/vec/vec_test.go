@@ -109,19 +109,15 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestScaleFillClone(t *testing.T) {
+func TestScaleClone(t *testing.T) {
 	v := []float64{1, 2}
 	Scale(3, v)
 	if v[0] != 3 || v[1] != 6 {
 		t.Errorf("Scale = %v", v)
 	}
-	Fill(v, 7)
-	if v[0] != 7 || v[1] != 7 {
-		t.Errorf("Fill = %v", v)
-	}
 	c := Clone(v)
 	c[0] = 0
-	if v[0] != 7 {
+	if v[0] != 3 {
 		t.Error("Clone aliases source")
 	}
 }
@@ -194,18 +190,54 @@ func anyNaN(v []float64) bool {
 	return false
 }
 
-func TestAtomicAddDelta(t *testing.T) {
-	a := NewAtomic(4)
-	a.CopyFrom([]float64{1, 2, 3, 4})
-	base := []float64{1, 2, 3, 4}
-	cur := []float64{1, 2.5, 3, 3}
-	a.AddDelta(cur, base)
-	got := make([]float64, 4)
-	a.Snapshot(got)
-	want := []float64{1, 2.5, 3, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("component %d = %v, want %v", i, got[i], want[i])
+// TestAtomicFlushDelta: a flush adds each local delta into the master
+// and refreshes the local copy and its baseline from the master, which
+// also carries a peer's update; the sparse flush does so only at the
+// listed coordinates.
+func TestAtomicFlushDelta(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		a := NewAtomic(4)
+		a.CopyFrom([]float64{1, 2, 3, 4})
+		base := []float64{1, 2, 3, 4}
+		cur := []float64{1, 2.5, 3, 3}
+		a.Add(0, 10) // a peer's flush
+		want := []float64{11, 2.5, 3, 3}
+		if sparse {
+			a.FlushDeltaSparse(cur, base, []int32{1, 3, 1})
+			want[0] = 1 // unlisted: keeps the stale local value
+		} else {
+			a.FlushDelta(cur, base)
 		}
+		master := make([]float64, 4)
+		a.Snapshot(master)
+		for i, w := range []float64{11, 2.5, 3, 3} {
+			if master[i] != w {
+				t.Errorf("sparse %v: master[%d] = %v, want %v", sparse, i, master[i], w)
+			}
+		}
+		for i := range want {
+			if cur[i] != want[i] || base[i] != want[i] {
+				t.Errorf("sparse %v: cur, base [%d] = %v, %v, want %v", sparse, i, cur[i], base[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDirty: marks dedup and keep first-marked order, and Reset empties
+// the set so every coordinate can be marked again.
+func TestDirty(t *testing.T) {
+	d := NewDirty(8)
+	d.Mark([]int32{5, 2, 5})
+	d.Mark([]int32{2, 7})
+	if got := d.List(); len(got) != 3 || got[0] != 5 || got[1] != 2 || got[2] != 7 {
+		t.Fatalf("List = %v, want [5 2 7]", got)
+	}
+	d.Reset()
+	if got := d.List(); len(got) != 0 {
+		t.Fatalf("List after Reset = %v, want empty", got)
+	}
+	d.Mark([]int32{7, 5})
+	if got := d.List(); len(got) != 2 || got[0] != 7 || got[1] != 5 {
+		t.Fatalf("List after Reset and Mark = %v, want [7 5]", got)
 	}
 }
