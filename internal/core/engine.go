@@ -51,6 +51,15 @@ type Engine struct {
 	rngSrc *SeededSource
 	// order is epochOrder's reusable traversal buffer.
 	order []int
+	// nodeWorkers and repWorkers group the workers by node, in
+	// ascending node order, and by replica. Placement is fixed at
+	// layout, so assignWork partitions through them every epoch.
+	nodeWorkers [][]*worker
+	repWorkers  [][]*worker
+	// xs and avg are the reusable replica-vector list and average
+	// buffer of the averaging worker and the end-of-epoch combine.
+	xs  [][]float64
+	avg []float64
 	// lastLoss caches the objective computed at the last epoch end (or
 	// restore), so Snapshot does not pay a second full-dataset pass per
 	// checkpoint. Invalid until the first epoch or restore.
@@ -82,6 +91,9 @@ type worker struct {
 	dataReg *numa.Region
 	items   []int
 	pos     int
+	// cost is the worker's simulated-machine handles, built once at
+	// layout; every simulated step charges through a pointer to it.
+	cost StepCost
 }
 
 // New builds an engine for the classic GLM task: a model specification
@@ -207,7 +219,14 @@ func NewWorkload(wl Workload, plan Plan) (*Engine, error) {
 		} else {
 			w.dataReg = e.mach.NewRegion(fmt.Sprintf("data-w%d", w.id), layout.DataBytes, w.core.Node, numa.Private)
 		}
+		w.cost = StepCost{Core: w.core, DataReg: w.dataReg, ModelReg: e.modelReg[w.repIdx]}
+		if e.auxReg != nil {
+			w.cost.AuxReg = e.auxReg[w.repIdx]
+		}
 	}
+	e.nodeWorkers = groupWorkers(e.workers, nodes, func(w *worker) int { return w.core.Node })
+	e.repWorkers = groupWorkers(e.workers, len(e.replicas), func(w *worker) int { return w.repIdx })
+	e.xs = make([][]float64, len(e.replicas))
 
 	// The background core hosts the asynchronous model-averaging
 	// worker (PerNode) and end-of-epoch combination.
@@ -230,6 +249,24 @@ func NewWorkload(wl Workload, plan Plan) (*Engine, error) {
 		e.exec = &simExecutor{e: e}
 	}
 	return e, nil
+}
+
+// groupWorkers buckets workers by key in [0, n), keeping worker order
+// within a bucket, and drops the empty buckets: a node may have no
+// worker, but every replica has one, so repWorkers stays indexed by
+// replica.
+func groupWorkers(ws []*worker, n int, key func(*worker) int) [][]*worker {
+	groups := make([][]*worker, n)
+	for _, w := range ws {
+		groups[key(w)] = append(groups[key(w)], w)
+	}
+	out := groups[:0]
+	for _, g := range groups {
+		if len(g) > 0 {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // SetRecorder attaches a span recorder: subsequent epochs attribute

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"dimmwitted/internal/model"
@@ -178,15 +178,7 @@ func (e *Engine) midEpochSyncDue(round int) bool {
 // executor: the workload executes the unit and charges its simulated
 // cost through the worker's cost handles.
 func (e *Engine) executeStep(w *worker, item int) model.Stats {
-	cost := &StepCost{
-		Core:     w.core,
-		DataReg:  w.dataReg,
-		ModelReg: e.modelReg[w.repIdx],
-	}
-	if e.auxReg != nil {
-		cost.AuxReg = e.auxReg[w.repIdx]
-	}
-	return e.wl.Step(item, e.replicas[w.repIdx], e.step, nil, cost)
+	return e.wl.Step(item, e.replicas[w.repIdx], e.step, nil, &w.cost)
 }
 
 // averageReplicas is the asynchronous model-averaging worker
@@ -205,16 +197,14 @@ func (e *Engine) averageReplicas(midEpoch bool) {
 		tSync = time.Now()
 		defer func() { e.rec.Record(trace.PhaseSync, e.epoch+1, -1, tSync, time.Now(), 0) }()
 	}
-	xs := make([][]float64, len(e.replicas))
-	for i, r := range e.replicas {
-		xs[i] = r.X
+	if len(e.avg) != len(e.replicas[0].X) {
+		e.avg = make([]float64, len(e.replicas[0].X))
 	}
-	avg := make([]float64, len(e.replicas[0].X))
-	e.wl.Combine(xs, avg)
-	d := int64(len(avg))
+	e.wl.Combine(e.replicaXs(), e.avg)
+	d := int64(len(e.avg))
 	for i, r := range e.replicas {
 		e.bg.ReadCached(e.modelReg[i], d)
-		copy(r.X, avg)
+		copy(r.X, e.avg)
 		e.bg.Write(e.modelReg[i], d)
 	}
 	// Shipping the averages across sockets costs QPI bandwidth.
@@ -253,6 +243,15 @@ func (e *Engine) workerForReplica(repIdx int) *worker {
 	return e.workers[0]
 }
 
+// replicaXs lists every replica's state vector in the engine's
+// reusable buffer, valid until the next call.
+func (e *Engine) replicaXs() [][]float64 {
+	for i, r := range e.replicas {
+		e.xs[i] = r.X
+	}
+	return e.xs
+}
+
 // combine ends an epoch: replicas are merged into the global state
 // and — for workloads that synchronize by averaging — written back,
 // the Bismarck-style end-of-epoch averaging. Aggregates fold their
@@ -263,11 +262,7 @@ func (e *Engine) combine() {
 		copy(e.global, e.replicas[0].X)
 		return
 	}
-	xs := make([][]float64, len(e.replicas))
-	for i, r := range e.replicas {
-		xs[i] = r.X
-	}
-	e.wl.Combine(xs, e.global)
+	e.wl.Combine(e.replicaXs(), e.global)
 	d := int64(len(e.global))
 	if e.wl.Sync() != SyncAverage {
 		// Partial sums are folded into the global result once (writing
@@ -319,12 +314,7 @@ func (e *Engine) assignWork() {
 			// Partition per locality group so every replica traverses
 			// its own full domain order — a PerCore Gibbs chain sweeps
 			// every variable, not a per-node share of them.
-			byRep := make([][]*worker, len(e.replicas))
-			for _, w := range e.workers {
-				byRep[w.repIdx] = append(byRep[w.repIdx], w)
-			}
-			for rep := range e.replicas {
-				ws := byRep[rep]
+			for rep, ws := range e.repWorkers {
 				for i, item := range orderer.EpochOrder(rep) {
 					w := ws[i%len(ws)]
 					w.items = append(w.items, item)
@@ -334,17 +324,7 @@ func (e *Engine) assignWork() {
 		}
 		// Each locality-group *node* processes the whole domain in its
 		// own order, split among that node's workers.
-		byNode := map[int][]*worker{}
-		var nodes []int
-		for _, w := range e.workers {
-			if len(byNode[w.core.Node]) == 0 {
-				nodes = append(nodes, w.core.Node)
-			}
-			byNode[w.core.Node] = append(byNode[w.core.Node], w)
-		}
-		sort.Ints(nodes)
-		for _, node := range nodes {
-			ws := byNode[node]
+		for _, ws := range e.nodeWorkers {
 			perm := e.epochOrder(domain)
 			for i, item := range perm {
 				w := ws[i%len(ws)]
@@ -359,17 +339,7 @@ func (e *Engine) assignWork() {
 		if m < 1 {
 			m = 1
 		}
-		byNode := map[int][]*worker{}
-		var nodes []int
-		for _, w := range e.workers {
-			if len(byNode[w.core.Node]) == 0 {
-				nodes = append(nodes, w.core.Node)
-			}
-			byNode[w.core.Node] = append(byNode[w.core.Node], w)
-		}
-		sort.Ints(nodes)
-		for _, node := range nodes {
-			ws := byNode[node]
+		for _, ws := range e.nodeWorkers {
 			for k := 0; k < m; k++ {
 				ws[k%len(ws)].items = append(ws[k%len(ws)].items, e.sampleLeverage())
 			}
@@ -385,12 +355,12 @@ func (e *Engine) assignWork() {
 // cluster coordinator compare sharded runs against a union run bitwise.
 //
 // The order lives in the engine's reusable buffer, valid until the
-// next call; callers copy it into worker queues. The random order makes
+// next call; callers copy it into worker queues. The buffer grows by
+// append's amortized policy, so an online job whose domain grows a few
+// rows per epoch does not reallocate every epoch. The random order makes
 // exactly rand.Perm's draws, so trajectories match the allocating form.
 func (e *Engine) epochOrder(domain int) []int {
-	if cap(e.order) < domain {
-		e.order = make([]int, domain)
-	}
+	e.order = slices.Grow(e.order[:0], domain)
 	ord := e.order[:domain]
 	if e.plan.FixedOrder {
 		for i := range ord {

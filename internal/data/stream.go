@@ -1,7 +1,9 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,6 +54,9 @@ type Handle struct {
 	vals   []float64
 	labels []float64
 	marks  []mark
+	// ents is appendRowLocked's sort scratch, reused by every sparse
+	// row; h.mu serialises its users.
+	ents []colVal
 
 	view atomic.Pointer[Dataset]
 }
@@ -157,9 +162,16 @@ func (h *Handle) validateRow(r *Row) error {
 	return nil
 }
 
+// colVal is one sparse entry of a row being appended.
+type colVal struct {
+	c int32
+	v float64
+}
+
 // appendRowLocked writes one validated row into the growable store.
 // Sparse entries are sorted by column (CSR invariant); duplicate
-// columns within a row are summed, matching mat.Builder.AddRow.
+// columns within a row are summed in request order, which the stable
+// sort keeps.
 func (h *Handle) appendRowLocked(r *Row) {
 	start := len(h.colIdx)
 	if r.Dense != nil {
@@ -170,15 +182,12 @@ func (h *Handle) appendRowLocked(r *Row) {
 			}
 		}
 	} else {
-		type ent struct {
-			c int32
-			v float64
+		ents := h.ents[:0]
+		for i, c := range r.Indices {
+			ents = append(ents, colVal{c, r.Values[i]})
 		}
-		ents := make([]ent, len(r.Indices))
-		for i := range r.Indices {
-			ents[i] = ent{r.Indices[i], r.Values[i]}
-		}
-		sort.Slice(ents, func(i, j int) bool { return ents[i].c < ents[j].c })
+		slices.SortStableFunc(ents, func(a, b colVal) int { return cmp.Compare(a.c, b.c) })
+		h.ents = ents
 		for _, e := range ents {
 			if n := len(h.colIdx); n > start && h.colIdx[n-1] == e.c {
 				h.vals[n-1] += e.v

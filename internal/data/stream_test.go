@@ -118,6 +118,43 @@ func TestStreamRowNormalization(t *testing.T) {
 	if view.Labels[0] != 0.5 || view.Labels[1] != -0.5 {
 		t.Fatalf("labels = %v", view.Labels)
 	}
+
+	// Duplicates sum in request order even past 12 entries, where an
+	// unstable sort may reorder them: (1e16 + 1) - 1e16 is 0 in
+	// float64, while summing the 1 last gives 1.
+	const dup = 2
+	big := 1e16
+	idx32 := []int32{12, dup, 11, 10, dup, 9, 8, 7, 6, dup, 5, 4, 3, 1, 0, 13}
+	dupVals := []float64{big, 1, -big}
+	rowVals := make([]float64, len(idx32))
+	for i, c := range idx32 {
+		if c == dup {
+			rowVals[i], dupVals = dupVals[0], dupVals[1:]
+		} else {
+			rowVals[i] = float64(c) + 0.5
+		}
+	}
+	wide := NewStream("test-normalize-dup", 16, Regression)
+	view, err = wide.Append([]Row{{Indices: idx32, Values: rowVals}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	idx, vals = view.A.Row(0)
+	if len(idx) != 14 {
+		t.Fatalf("wide row has %d columns, want 14", len(idx))
+	}
+	for k, c := range idx {
+		want := float64(c) + 0.5
+		if c == dup {
+			want = (big + 1) - big
+		}
+		if int(c) != k || vals[k] != want {
+			t.Fatalf("wide row entry %d = (%d, %v), want (%d, %v)", k, c, vals[k], k, want)
+		}
+	}
 }
 
 // TestStreamViewImmutableUnderAppend is the epoch-stability contract:
@@ -365,5 +402,117 @@ func TestStreamLazyCSCSharedRaceFree(t *testing.T) {
 	}
 	if before.CSC().Rows != before.Rows() {
 		t.Fatalf("pinned view's CSC covers %d rows, want %d", before.CSC().Rows, before.Rows())
+	}
+}
+
+// TestStreamConcurrentAppends: two appenders share one stream, and so
+// its sort scratch, while a reader walks View(). Every row lands
+// exactly once, sorted and with its duplicates summed, and every append
+// publishes a version above all earlier ones. Run under -race this
+// proves the handle's lock covers the shared scratch.
+func TestStreamConcurrentAppends(t *testing.T) {
+	const cols, writers, chunks, chunkRows = 64, 2, 30, 8
+	h := NewStream("test-concurrent-appends", cols, Regression)
+
+	// Row id (writer*chunks + chunk)*chunkRows + k carries its id as the
+	// label, and 20 entries over 16 columns so the sort runs past
+	// insertion-sort sizes and sums duplicates.
+	makeRow := func(id int) Row {
+		r := Row{Label: float64(id)}
+		for k := 0; k < 20; k++ {
+			r.Indices = append(r.Indices, int32((id*7+k*5)%16))
+			r.Values = append(r.Values, float64(id+k))
+		}
+		return r
+	}
+
+	versions := make([][]uint64, writers)
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var last *Dataset
+		for {
+			v := h.View()
+			if last != nil && (v.Version < last.Version || v.Rows() < last.Rows()) {
+				t.Errorf("view went back: v%d/%d rows after v%d/%d rows", v.Version, v.Rows(), last.Version, last.Rows())
+				return
+			}
+			for i := 0; i < v.Rows(); i++ {
+				idx, _ := v.A.Row(i)
+				for k := 1; k < len(idx); k++ {
+					if idx[k] <= idx[k-1] {
+						t.Errorf("v%d row %d columns not strictly sorted: %v", v.Version, i, idx)
+						return
+					}
+				}
+			}
+			last = v
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for c := 0; c < chunks; c++ {
+				rows := make([]Row, chunkRows)
+				for k := range rows {
+					rows[k] = makeRow((w*chunks+c)*chunkRows + k)
+				}
+				v, err := h.Append(rows)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				versions[w] = append(versions[w], v.Version)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	seen := map[uint64]bool{}
+	for w, vs := range versions {
+		for i, v := range vs {
+			if i > 0 && v <= vs[i-1] {
+				t.Fatalf("writer %d: version %d after %d", w, v, vs[i-1])
+			}
+			if seen[v] {
+				t.Fatalf("version %d published twice", v)
+			}
+			seen[v] = true
+		}
+	}
+	final := h.View()
+	total := writers * chunks * chunkRows
+	if final.Rows() != total || final.Version != uint64(1+writers*chunks) {
+		t.Fatalf("final view %d rows v%d, want %d rows v%d", final.Rows(), final.Version, total, 1+writers*chunks)
+	}
+	landed := make([]bool, total)
+	want := NewStream("test-concurrent-appends-serial", cols, Regression)
+	for i := 0; i < final.Rows(); i++ {
+		id := int(final.Labels[i])
+		if id < 0 || id >= total || landed[id] {
+			t.Fatalf("row %d carries id %d: out of range or landed twice", i, id)
+		}
+		landed[id] = true
+		// Appending the same row alone must normalise it identically.
+		ref, err := want.Append([]Row{makeRow(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotIdx, gotVals := final.A.Row(i)
+		refIdx, refVals := ref.A.Row(ref.Rows() - 1)
+		if !reflect.DeepEqual(gotIdx, refIdx) || !reflect.DeepEqual(gotVals, refVals) {
+			t.Fatalf("row id %d = %v/%v, appended alone %v/%v", id, gotIdx, gotVals, refIdx, refVals)
+		}
 	}
 }
