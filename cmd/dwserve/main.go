@@ -1,7 +1,7 @@
 // Command dwserve runs the DimmWitted training and serving daemon: a
 // JSON HTTP API that schedules training jobs onto a NUMA-sized worker
-// pool, caches optimizer plans, and serves batched predictions from
-// trained models.
+// pool, plans each job with the self-tuning optimizer, and serves
+// batched predictions from trained models.
 //
 //	dwserve                                 # listen on :8080, local2
 //	dwserve -addr :9000 -machine local8     # 8 sockets, 8 job slots

@@ -91,31 +91,6 @@ func PaperCost(spec model.Spec, ds *data.Dataset, access model.Access, top numa.
 	return sumN2 + alpha*d
 }
 
-const (
-	// goroutineSpawnCycles is the order-of-magnitude cost of creating
-	// and scheduling a fresh goroutine (stack allocation plus scheduler
-	// handoff) — what the pre-pool parallel executor paid per worker
-	// per epoch.
-	goroutineSpawnCycles = 50_000
-	// poolWakeupCycles is the cost of waking a parked pool worker: one
-	// channel send/receive pair and a futex wake.
-	poolWakeupCycles = 2_000
-)
-
-// ExecutorOverheadCycles prices a backend's per-epoch orchestration
-// overhead for a worker count. The simulated interleaver is free here
-// (its orchestration is accounted inside the cost simulator); the
-// parallel backend pays one pool wakeup per worker — the persistent
-// pool's replacement for the old per-epoch goroutine-spawn cost, some
-// 25x dearer per worker. The estimate feeds the parallel chunk-size
-// choice below and diagnostics.
-func ExecutorOverheadCycles(exec ExecutorKind, workers int) float64 {
-	if exec != ExecParallel {
-		return 0
-	}
-	return float64(workers) * poolWakeupCycles
-}
-
 // Choose runs the cost-based optimizer (Section 3.2) plus the paper's
 // replication rules of thumb (Sections 3.3–3.4) and returns a complete
 // plan for the spec/dataset/machine triple:
@@ -180,14 +155,13 @@ func ChooseExecutor(spec model.Spec, ds *data.Dataset, top numa.Topology, exec E
 	}
 	plan = plan.Normalize(spec)
 	if exec == ExecParallel {
-		// The pooled executor's epoch overhead is wakeups, not spawns
-		// (ExecutorOverheadCycles), and its fused sparse-aware flush
-		// costs O(coordinates dirtied) rather than O(dim): with both
-		// cheap, the remaining lever is flush frequency. A 64-step batch
-		// keeps the master-synchronization traffic an order of magnitude
-		// below the step work on the bundled sparse datasets while
-		// staying well inside the staleness the Hogwild! analysis
-		// tolerates.
+		// The pooled executor's epoch overhead is wakeups, not spawns,
+		// and its fused sparse-aware flush costs O(coordinates dirtied)
+		// rather than O(dim): with both cheap, the remaining lever is
+		// flush frequency. A 64-step batch keeps the master-synchronization
+		// traffic an order of magnitude below the step work on the bundled
+		// sparse datasets while staying well inside the staleness the
+		// Hogwild! analysis tolerates.
 		plan.ChunkSize = 64
 	}
 	return plan, plan.Validate(spec)

@@ -158,23 +158,6 @@ func TestStealChunkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExecutorOverheadCycles pins the optimizer's pricing of the
-// pooled backend: waking a parked pool must be priced well under the
-// per-epoch goroutine-spawn model it replaced, and the simulated
-// backend carries no real-concurrency overhead at all.
-func TestExecutorOverheadCycles(t *testing.T) {
-	if got := ExecutorOverheadCycles(ExecSimulated, 12); got != 0 {
-		t.Errorf("simulated overhead = %v, want 0", got)
-	}
-	pooled := ExecutorOverheadCycles(ExecParallel, 12)
-	if pooled <= 0 {
-		t.Errorf("pooled overhead = %v, want > 0", pooled)
-	}
-	if spawn := float64(12 * goroutineSpawnCycles); pooled >= spawn {
-		t.Errorf("pooled overhead %v not cheaper than the spawn model %v", pooled, spawn)
-	}
-}
-
 // TestLaneLossBitIdentical: a parallel GLM engine's Loss, whose row
 // terms the pool lanes compute, is bitwise the spec's serial Loss at
 // every lane count — before the first epoch (the pool is not started,

@@ -12,8 +12,8 @@ import (
 
 // WorkloadKind identifies a workload family. It is threaded through
 // plan validation, optimizer costing, engine snapshots and the serving
-// layer's plan-cache keys, so heterogeneous analytics never alias each
-// other's execution plans.
+// layer's feedback keys, so heterogeneous analytics never alias each
+// other's measured plan costs.
 type WorkloadKind int
 
 const (

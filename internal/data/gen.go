@@ -74,8 +74,8 @@ type Dataset struct {
 	// Version distinguishes successive published views of a growing
 	// (streamed) dataset. Registry datasets are frozen at version 1;
 	// every append to a stream publishes a new view with a higher
-	// version. Plan-cache and tune-store keys include it so plans sized
-	// for a smaller matrix are never reused after growth.
+	// version. Feedback (tune-store) keys include it so costs measured
+	// on a smaller matrix never decide plans after growth.
 	Version uint64
 
 	cscOnce sync.Once

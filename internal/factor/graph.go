@@ -122,7 +122,7 @@ func (f *Factor) fires(assign []int8) bool {
 
 // Graph is a factor graph over boolean variables 0..NumVars-1.
 type Graph struct {
-	// Name identifies the graph for registries, plan-cache keys and
+	// Name identifies the graph for registries, feedback keys and
 	// snapshots; empty for ad-hoc graphs.
 	Name string
 	// NumVars is the variable count.

@@ -7,7 +7,7 @@ import (
 
 // graphBuilders is the constant table behind the serving API's
 // "dataset" field for Gibbs jobs: named, deterministic factor graphs
-// whose name pins the full structure (so plan-cache keys stay honest).
+// whose name pins the full structure (so feedback keys stay honest).
 // Build generates afresh on every call; the serving catalog
 // (internal/serve) keeps one shared, immutable instance per name.
 var graphBuilders = map[string]func() *Graph{

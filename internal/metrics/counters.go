@@ -39,8 +39,6 @@ const (
 	JobsDone
 	JobsFailed
 	JobsCancelled
-	PlanCacheHits
-	PlanCacheMisses
 	HTTPErrors
 	GibbsSweeps
 	GibbsSamples
@@ -70,8 +68,6 @@ var serveTable = [numServeCounters]CounterDesc{
 	JobsDone:           {"jobs_done", "Jobs finished successfully."},
 	JobsFailed:         {"jobs_failed", "Jobs ended in an error."},
 	JobsCancelled:      {"jobs_cancelled", "Jobs cancelled before completion."},
-	PlanCacheHits:      {"plan_cache_hits", "Optimizer invocations skipped by the plan cache."},
-	PlanCacheMisses:    {"plan_cache_misses", "Cost-based optimizer runs."},
 	HTTPErrors:         {"http_errors", "Requests answered with a non-2xx status."},
 	GibbsSweeps:        {"gibbs_sweeps", "Full Gibbs chain sweeps."},
 	GibbsSamples:       {"gibbs_samples", "Gibbs variable samples drawn."},

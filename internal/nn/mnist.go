@@ -4,7 +4,7 @@ import "math/rand"
 
 // Dataset is a labelled image dataset for the network.
 type Dataset struct {
-	// Name identifies the dataset for registries, plan-cache keys and
+	// Name identifies the dataset for registries, feedback keys and
 	// snapshots; empty for ad-hoc datasets.
 	Name string
 	// Images holds one input vector per example, values in [0, 1].

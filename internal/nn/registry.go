@@ -7,7 +7,7 @@ import (
 
 // builtins is the constant table behind the serving API's "dataset"
 // field for NN jobs: named, deterministic datasets paired with the
-// architecture that trains on them (the name pins both, so plan-cache
+// architecture that trains on them (the name pins both, so feedback
 // keys stay honest). Build generates afresh on every call; the serving
 // catalog (internal/serve) keeps one shared, immutable instance per
 // name.

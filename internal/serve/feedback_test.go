@@ -10,67 +10,6 @@ import (
 	"dimmwitted/internal/tune"
 )
 
-// TestPlanCacheEviction exercises the LRU size cap.
-func TestPlanCacheEviction(t *testing.T) {
-	c := NewPlanCacheSize(2)
-	spec := model.NewSVM()
-	ds, err := NewCatalog().Dataset("reuters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []PlanKey{
-		KeyFor(spec, ds, numa.Local2, core.ExecSimulated),
-		KeyFor(spec, ds, numa.Local4, core.ExecSimulated),
-		KeyFor(spec, ds, numa.Local8, core.ExecSimulated),
-	}
-	plan := core.Plan{Machine: numa.Local2}
-	c.Store(keys[0], plan)
-	c.Store(keys[1], plan)
-	// Touch key 0 so key 1 is the LRU victim when key 2 arrives.
-	if _, ok := c.Lookup(keys[0]); !ok {
-		t.Fatal("stored key missing")
-	}
-	c.Store(keys[2], plan)
-
-	if _, ok := c.Peek(keys[1]); ok {
-		t.Fatal("LRU entry survived past the size cap")
-	}
-	for _, k := range []PlanKey{keys[0], keys[2]} {
-		if _, ok := c.Peek(k); !ok {
-			t.Fatalf("recently used entry %v was evicted", k.Machine)
-		}
-	}
-	st := c.Stats()
-	if st.Size != 2 || st.Capacity != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want size 2, capacity 2, evictions 1", st)
-	}
-}
-
-// TestPlanCacheInvalidate exercises the generational contract directly.
-func TestPlanCacheInvalidate(t *testing.T) {
-	c := NewPlanCache()
-	spec := model.NewSVM()
-	ds, err := NewCatalog().Dataset("reuters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := KeyFor(spec, ds, numa.Local2, core.ExecSimulated)
-	if c.Invalidate(key) {
-		t.Fatal("invalidating a missing key reported success")
-	}
-	c.Store(key, core.Plan{Machine: numa.Local2})
-	if !c.Invalidate(key) {
-		t.Fatal("invalidating a present key reported failure")
-	}
-	if _, ok := c.Peek(key); ok {
-		t.Fatal("invalidated entry still cached")
-	}
-	st := c.Stats()
-	if st.Invalidations != 1 || st.Generation != 1 {
-		t.Fatalf("stats = %+v, want 1 invalidation, generation 1", st)
-	}
-}
-
 // rivalKey builds the observation key the scheduler would use for a
 // candidate plan of the svm/reuters job — the test's window into the
 // feedback store's keyspace.
@@ -87,27 +26,15 @@ func rivalKey(t *testing.T, ds *data.Dataset, p core.Plan) tune.Key {
 	}
 }
 
-// TestFeedbackInvalidatesFlippedWinner is the tentpole's cache
-// contract: once the feedback store proves a non-static candidate
-// cheaper, the finished job's re-planning pass invalidates the cached
-// static plan and stores the measured winner, and the next scheduler
-// over the same store picks it as "measured".
+// TestFeedbackInvalidatesFlippedWinner: once the feedback store proves
+// a non-static candidate cheaper, the very next job of the same
+// signature runs that candidate as "measured".
 func TestFeedbackInvalidatesFlippedWinner(t *testing.T) {
 	fb := tune.NewStore(tune.Options{MinObservations: 1, Epsilon: -1})
 	s := newTestScheduler(t, Options{Feedback: fb})
 	req := TrainRequest{Model: "svm", Dataset: "reuters", MaxEpochs: 2}
 
-	id1, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, err := s.Wait(id1, waitTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.State != "done" {
-		t.Fatalf("job 1 ended %s: %s", st1.State, st1.Error)
-	}
+	st1 := waitDone(t, s, req)
 	if st1.PlanSource != "static" {
 		t.Fatalf("job 1 plan source %q, want static (nothing measured yet)", st1.PlanSource)
 	}
@@ -132,56 +59,47 @@ func TestFeedbackInvalidatesFlippedWinner(t *testing.T) {
 		t.Fatalf("only %d candidates", len(cands))
 	}
 	rival := cands[1]
+	if st1.Plan == rival.String() {
+		t.Fatalf("job 1 already ran the rival %q", st1.Plan)
+	}
 	fb.Record(rivalKey(t, ds, rival), tune.Sample{SecondsPerEpoch: 1e-9})
 
-	// The repeat job still runs the cached static plan, but its closing
-	// re-planning pass must see the flip and invalidate the entry.
-	id2, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
+	st2 := waitDone(t, s, req)
+	if st2.PlanSource != "measured" {
+		t.Fatalf("job 2 plan source %q, want measured", st2.PlanSource)
 	}
-	st2, err := s.Wait(id2, waitTimeout)
-	if err != nil {
-		t.Fatal(err)
+	if st2.Plan != rival.String() {
+		t.Fatalf("job 2 ran %q, want the measured rival %q", st2.Plan, rival.String())
 	}
-	if st2.State != "done" {
-		t.Fatalf("job 2 ended %s: %s", st2.State, st2.Error)
+	if st2.PredictedSecondsPerEpoch <= 0 {
+		t.Fatalf("job 2 predicted seconds/epoch = %v, want > 0", st2.PredictedSecondsPerEpoch)
 	}
-	if st2.PlanSource != "cached" {
-		t.Fatalf("job 2 plan source %q, want cached", st2.PlanSource)
+}
+
+// TestFeedbackExploresRepeatJobs: the epsilon draw happens on every
+// unforced job, not only on a signature's first, so repeats of one
+// request keep measuring the runner-up. A job that forces its access
+// method skips the optimizer and the draw.
+func TestFeedbackExploresRepeatJobs(t *testing.T) {
+	fb := tune.NewStore(tune.Options{Epsilon: 1})
+	s := newTestScheduler(t, Options{Feedback: fb})
+	req := TrainRequest{Model: "svm", Dataset: "reuters", MaxEpochs: 2}
+	for i := 1; i <= 3; i++ {
+		if st := waitDone(t, s, req); st.PlanSource != "explore" {
+			t.Fatalf("job %d plan source %q, want explore", i, st.PlanSource)
+		}
 	}
-	cs := s.Plans().Stats()
-	if cs.Invalidations != 1 || cs.Generation != 1 {
-		t.Fatalf("cache stats after flip = %+v, want 1 invalidation, generation 1", cs)
-	}
-	key := KeyFor(model.NewSVM(), ds, numa.Local2, core.ExecSimulated)
-	got, ok := s.Plans().Peek(key)
-	if !ok {
-		t.Fatal("re-planned winner was not stored back")
-	}
-	if got.ModelRep != rival.ModelRep || got.DataRep != rival.DataRep {
-		t.Fatalf("cached plan after flip = %v, want the measured rival %v", got, rival)
+	if got := fb.Stats().Explorations; got != 3 {
+		t.Fatalf("explorations = %d after 3 jobs at epsilon 1, want 3", got)
 	}
 
-	// A fresh scheduler sharing the store (a restart, in effect) must
-	// choose the measured winner outright.
-	s2 := newTestScheduler(t, Options{Feedback: fb})
-	id3, err := s2.Submit(req)
-	if err != nil {
-		t.Fatal(err)
+	forced := req
+	forced.Access = "row"
+	if st := waitDone(t, s, forced); st.PlanSource != "forced" {
+		t.Fatalf("forced job plan source %q, want forced", st.PlanSource)
 	}
-	st3, err := s2.Wait(id3, waitTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.State != "done" {
-		t.Fatalf("job 3 ended %s: %s", st3.State, st3.Error)
-	}
-	if st3.PlanSource != "measured" {
-		t.Fatalf("job 3 plan source %q, want measured", st3.PlanSource)
-	}
-	if st3.PredictedSecondsPerEpoch <= 0 {
-		t.Fatalf("job 3 predicted seconds/epoch = %v, want > 0", st3.PredictedSecondsPerEpoch)
+	if got := fb.Stats().Explorations; got != 3 {
+		t.Fatalf("explorations = %d after a forced job, want still 3", got)
 	}
 }
 

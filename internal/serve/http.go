@@ -18,8 +18,8 @@ import (
 	"dimmwitted/internal/tune"
 )
 
-// Server is the HTTP front end: a scheduler, its model registry and
-// plan cache, exposed as a JSON API (see the package comment for the
+// Server is the HTTP front end: a scheduler and its model registry,
+// exposed as a JSON API (see the package comment for the
 // route table). Every route records its handler latency into a
 // per-route histogram surfaced by /v1/stats.
 type Server struct {
@@ -493,7 +493,6 @@ type statsResponse struct {
 	Machine       string                `json:"machine"`
 	Counters      metrics.ServeSnapshot `json:"counters"`
 	Queue         QueueStats            `json:"queue"`
-	PlanCache     PlanCacheStats        `json:"plan_cache"`
 	Models        int                   `json:"models"`
 	// Latency maps each route pattern to its handler-latency histogram
 	// summary (p50/p95/p99); counts include error responses, so a
@@ -537,7 +536,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Machine:       s.sched.opts.Machine.Name,
 		Counters:      s.counters.Snapshot(),
 		Queue:         s.sched.Stats(),
-		PlanCache:     s.sched.Plans().Stats(),
 		Models:        s.sched.Models().Len(),
 		Latency:       lat,
 		PredictStages: stages,

@@ -14,6 +14,7 @@ import (
 	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
+	"dimmwitted/internal/tune"
 )
 
 // onlineRows generates deterministic sparse classification rows whose
@@ -179,10 +180,10 @@ func TestShadowGateNeverPromotesRegression(t *testing.T) {
 	}
 }
 
-// TestPlanKeyMissesAfterAppend: an append publishes a new dataset
-// version, and both the serve plan-cache key and the tune-store key
-// carry it — a plan cached for the smaller matrix is never reused.
-func TestPlanKeyMissesAfterAppend(t *testing.T) {
+// TestObsKeyChangesAfterAppend: an append publishes a new dataset
+// version and the feedback key carries it, so costs measured on the
+// smaller matrix never decide a plan for the grown one.
+func TestObsKeyChangesAfterAppend(t *testing.T) {
 	const cols = 12
 	h, err := NewCatalog().Stream("key-stream", cols, data.Classification)
 	if err != nil {
@@ -191,40 +192,32 @@ func TestPlanKeyMissesAfterAppend(t *testing.T) {
 	if _, err := h.Append(onlineRows(31, 25, cols)); err != nil {
 		t.Fatal(err)
 	}
-	v1 := h.View()
 	spec := model.NewSVM()
-	k1 := KeyFor(spec, v1, numa.Local2, core.ExecSimulated)
+	plan := core.Plan{Machine: numa.Local2}
+	v1 := h.View()
+	k1 := obsKeyFor(&job{kind: core.WorkloadGLM, wl: core.NewGLM(spec, v1), spec: spec, ds: v1}, plan)
 	if k1.DatasetVersion != 2 {
-		t.Fatalf("plan key version = %d, want 2 after the first append", k1.DatasetVersion)
+		t.Fatalf("feedback key version = %d, want 2 after the first append", k1.DatasetVersion)
 	}
-	c := NewPlanCache()
-	c.Store(k1, core.Plan{Machine: numa.Local2})
+	fb := tune.NewStore(tune.Options{MinObservations: 1})
+	fb.Record(k1, tune.Sample{SecondsPerEpoch: 1e-3})
 
 	if _, err := h.Append(onlineRows(32, 25, cols)); err != nil {
 		t.Fatal(err)
 	}
 	v2 := h.View()
-	k2 := KeyFor(spec, v2, numa.Local2, core.ExecSimulated)
+	k2 := obsKeyFor(&job{kind: core.WorkloadGLM, wl: core.NewGLM(spec, v2), spec: spec, ds: v2}, plan)
 	if k2.DatasetVersion != v1.Version+1 {
-		t.Fatalf("plan key version = %d, want %d after the append", k2.DatasetVersion, v1.Version+1)
+		t.Fatalf("feedback key version = %d, want %d after the append", k2.DatasetVersion, v1.Version+1)
 	}
 	if k1 == k2 {
-		t.Fatal("append did not change the plan key")
+		t.Fatal("append did not change the feedback key")
 	}
-	if _, ok := c.Lookup(k2); ok {
-		t.Fatal("grown dataset hit the plan cached for the smaller matrix")
+	if _, ok := fb.Measured(k2); ok {
+		t.Fatal("grown dataset read the cost measured on the smaller matrix")
 	}
-	if _, ok := c.Lookup(k1); !ok {
-		t.Fatal("the old view's cached plan disappeared")
-	}
-
-	// The tune-store key separates the same way.
-	tk1, tk2 := rivalKey(t, v1, core.Plan{Machine: numa.Local2}), rivalKey(t, v2, core.Plan{Machine: numa.Local2})
-	if tk1 == tk2 {
-		t.Fatal("append did not change the tune key")
-	}
-	if tk1.DatasetVersion == tk2.DatasetVersion {
-		t.Fatalf("tune keys share dataset version %d", tk1.DatasetVersion)
+	if _, ok := fb.Measured(k1); !ok {
+		t.Fatal("the old view's observation disappeared")
 	}
 }
 

@@ -22,10 +22,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("dimmwitted_uptime_seconds", "Seconds since the server started.", time.Since(s.started).Seconds())
 	p.Counters("dimmwitted_", metrics.ServeTable(), metrics.CounterSeries{Values: c.Counts[:]})
 	p.Gauge("dimmwitted_gibbs_samples_per_second", "Cumulative parallel-executor sampling throughput.", c.GibbsSamplesPerSec)
-	pc := s.sched.Plans().Stats()
-	p.Gauge("dimmwitted_plan_cache_size", "Plans currently cached.", float64(pc.Size))
-	p.Counter("dimmwitted_plan_cache_evictions_total", "Cached plans dropped by the LRU size cap.", float64(pc.Evictions))
-	p.Counter("dimmwitted_plan_cache_invalidations_total", "Cached plans dropped because a feedback update flipped the optimizer's winner.", float64(pc.Invalidations))
 
 	q := s.sched.Stats()
 	p.Gauge("dimmwitted_scheduler_slots", "Concurrent training slots.", float64(q.Slots))

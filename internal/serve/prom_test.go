@@ -189,46 +189,41 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	// Every family, with its TYPE and HELP: scrape configs and
 	// dashboards key on these strings, so none may change silently.
 	want := map[string][2]string{
-		"dimmwitted_uptime_seconds":                 {"gauge", "Seconds since the server started."},
-		"dimmwitted_train_requests_total":           {"counter", "Accepted training requests."},
-		"dimmwitted_predict_requests_total":         {"counter", "Prediction requests served."},
-		"dimmwitted_predictions_total":              {"counter", "Individual predictions returned."},
-		"dimmwitted_jobs_enqueued_total":            {"counter", "Jobs entering the queue."},
-		"dimmwitted_jobs_done_total":                {"counter", "Jobs finished successfully."},
-		"dimmwitted_jobs_failed_total":              {"counter", "Jobs ended in an error."},
-		"dimmwitted_jobs_cancelled_total":           {"counter", "Jobs cancelled before completion."},
-		"dimmwitted_plan_cache_hits_total":          {"counter", "Optimizer invocations skipped by the plan cache."},
-		"dimmwitted_plan_cache_misses_total":        {"counter", "Cost-based optimizer runs."},
-		"dimmwitted_plan_cache_size":                {"gauge", "Plans currently cached."},
-		"dimmwitted_plan_cache_evictions_total":     {"counter", "Cached plans dropped by the LRU size cap."},
-		"dimmwitted_plan_cache_invalidations_total": {"counter", "Cached plans dropped because a feedback update flipped the optimizer's winner."},
-		"dimmwitted_http_errors_total":              {"counter", "Requests answered with a non-2xx status."},
-		"dimmwitted_gibbs_sweeps_total":             {"counter", "Full Gibbs chain sweeps."},
-		"dimmwitted_gibbs_samples_total":            {"counter", "Gibbs variable samples drawn."},
-		"dimmwitted_gibbs_samples_per_second":       {"gauge", "Cumulative parallel-executor sampling throughput."},
-		"dimmwitted_nn_epochs_total":                {"counter", "Network-training epochs."},
-		"dimmwitted_nn_examples_total":              {"counter", "Examples back-propagated."},
-		"dimmwitted_checkpoint_writes_total":        {"counter", "Durable snapshot writes."},
-		"dimmwitted_checkpoint_bytes_total":         {"counter", "Bytes written to durable snapshots."},
-		"dimmwitted_checkpoint_restores_total":      {"counter", "States restored from durable snapshots."},
-		"dimmwitted_checkpoint_errors_total":        {"counter", "Failed checkpoint writes or restores."},
-		"dimmwitted_append_requests_total":          {"counter", "Accepted dataset-append chunks."},
-		"dimmwitted_rows_appended_total":            {"counter", "Rows ingested through dataset appends."},
-		"dimmwitted_dataset_versions_total":         {"counter", "Dataset views published by appends."},
-		"dimmwitted_shadow_evals_total":             {"counter", "Candidate models shadow-evaluated on a held-out tail."},
-		"dimmwitted_models_promoted_total":          {"counter", "Candidates that passed shadow evaluation and went live."},
-		"dimmwitted_models_rolled_back_total":       {"counter", "Regressing canaries rejected by shadow evaluation."},
-		"dimmwitted_online_adopts_total":            {"counter", "Grown dataset views adopted by running online jobs."},
-		"dimmwitted_scheduler_slots":                {"gauge", "Concurrent training slots."},
-		"dimmwitted_jobs":                           {"gauge", "Jobs currently recorded, by lifecycle state."},
-		"dimmwitted_models":                         {"gauge", "Models registered for serving."},
-		"dimmwitted_optimizer_observations_total":   {"counter", "Epoch wall-clock observations recorded by the self-tuning optimizer."},
-		"dimmwitted_optimizer_keys":                 {"gauge", "Distinct plan observation keys in the feedback store."},
-		"dimmwitted_optimizer_explorations_total":   {"counter", "Plan decisions where the epsilon draw ran the runner-up."},
-		"dimmwitted_http_request_duration_seconds":  {"histogram", "HTTP handler latency by route."},
-		"dimmwitted_predict_stage_seconds":          {"histogram", "POST /v1/predict latency by stage: body read, body decode, scoring, reply encode and write."},
-		"dimmwitted_engine_phase_seconds_total":     {"counter", "Engine wall clock attributed to each phase by traced jobs."},
-		"dimmwitted_engine_phase_spans_total":       {"counter", "Spans recorded for each engine phase by traced jobs."},
+		"dimmwitted_uptime_seconds":                {"gauge", "Seconds since the server started."},
+		"dimmwitted_train_requests_total":          {"counter", "Accepted training requests."},
+		"dimmwitted_predict_requests_total":        {"counter", "Prediction requests served."},
+		"dimmwitted_predictions_total":             {"counter", "Individual predictions returned."},
+		"dimmwitted_jobs_enqueued_total":           {"counter", "Jobs entering the queue."},
+		"dimmwitted_jobs_done_total":               {"counter", "Jobs finished successfully."},
+		"dimmwitted_jobs_failed_total":             {"counter", "Jobs ended in an error."},
+		"dimmwitted_jobs_cancelled_total":          {"counter", "Jobs cancelled before completion."},
+		"dimmwitted_http_errors_total":             {"counter", "Requests answered with a non-2xx status."},
+		"dimmwitted_gibbs_sweeps_total":            {"counter", "Full Gibbs chain sweeps."},
+		"dimmwitted_gibbs_samples_total":           {"counter", "Gibbs variable samples drawn."},
+		"dimmwitted_gibbs_samples_per_second":      {"gauge", "Cumulative parallel-executor sampling throughput."},
+		"dimmwitted_nn_epochs_total":               {"counter", "Network-training epochs."},
+		"dimmwitted_nn_examples_total":             {"counter", "Examples back-propagated."},
+		"dimmwitted_checkpoint_writes_total":       {"counter", "Durable snapshot writes."},
+		"dimmwitted_checkpoint_bytes_total":        {"counter", "Bytes written to durable snapshots."},
+		"dimmwitted_checkpoint_restores_total":     {"counter", "States restored from durable snapshots."},
+		"dimmwitted_checkpoint_errors_total":       {"counter", "Failed checkpoint writes or restores."},
+		"dimmwitted_append_requests_total":         {"counter", "Accepted dataset-append chunks."},
+		"dimmwitted_rows_appended_total":           {"counter", "Rows ingested through dataset appends."},
+		"dimmwitted_dataset_versions_total":        {"counter", "Dataset views published by appends."},
+		"dimmwitted_shadow_evals_total":            {"counter", "Candidate models shadow-evaluated on a held-out tail."},
+		"dimmwitted_models_promoted_total":         {"counter", "Candidates that passed shadow evaluation and went live."},
+		"dimmwitted_models_rolled_back_total":      {"counter", "Regressing canaries rejected by shadow evaluation."},
+		"dimmwitted_online_adopts_total":           {"counter", "Grown dataset views adopted by running online jobs."},
+		"dimmwitted_scheduler_slots":               {"gauge", "Concurrent training slots."},
+		"dimmwitted_jobs":                          {"gauge", "Jobs currently recorded, by lifecycle state."},
+		"dimmwitted_models":                        {"gauge", "Models registered for serving."},
+		"dimmwitted_optimizer_observations_total":  {"counter", "Epoch wall-clock observations recorded by the self-tuning optimizer."},
+		"dimmwitted_optimizer_keys":                {"gauge", "Distinct plan observation keys in the feedback store."},
+		"dimmwitted_optimizer_explorations_total":  {"counter", "Plan decisions where the epsilon draw ran the runner-up."},
+		"dimmwitted_http_request_duration_seconds": {"histogram", "HTTP handler latency by route."},
+		"dimmwitted_predict_stage_seconds":         {"histogram", "POST /v1/predict latency by stage: body read, body decode, scoring, reply encode and write."},
+		"dimmwitted_engine_phase_seconds_total":    {"counter", "Engine wall clock attributed to each phase by traced jobs."},
+		"dimmwitted_engine_phase_spans_total":      {"counter", "Spans recorded for each engine phase by traced jobs."},
 	}
 	headers := familyHeaders(string(raw))
 	for name, th := range want {
@@ -261,8 +256,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	wantKeys := []string{
 		"train_requests", "predict_requests", "predictions", "jobs_enqueued",
-		"jobs_done", "jobs_failed", "jobs_cancelled", "plan_cache_hits",
-		"plan_cache_misses", "http_errors", "gibbs_sweeps", "gibbs_samples",
+		"jobs_done", "jobs_failed", "jobs_cancelled", "http_errors",
+		"gibbs_sweeps", "gibbs_samples",
 		"nn_epochs", "nn_examples", "checkpoint_writes", "checkpoint_bytes",
 		"checkpoint_restores", "checkpoint_errors", "append_requests",
 		"rows_appended", "dataset_versions", "shadow_evals", "models_promoted",

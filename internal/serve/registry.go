@@ -173,10 +173,11 @@ func (r *Registry) PutScored(id string, scorer Scorer, snap core.Snapshot) error
 	return r.put(id, &servingModel{scorer: scorer, x: snap.X, snap: snap})
 }
 
-// PutSnapshot registers a decoded wire snapshot, rebuilding the scorer
-// from the snapshot's own workload identity — the install path for
-// models pushed between cluster peers, where no local job built a
-// spec. Error semantics as Put.
+// PutSnapshot registers a snapshot, building the scorer from the
+// snapshot's own workload identity (scorerForSnapshot) — the path for
+// finished jobs and for models pushed between cluster peers, so every
+// published model scores the way a restored one does. Error semantics
+// as Put.
 func (r *Registry) PutSnapshot(id string, snap core.Snapshot) error {
 	spec, scorer := scorerForSnapshot(snap)
 	return r.put(id, &servingModel{spec: spec, scorer: scorer, x: snap.X, snap: snap})
@@ -301,12 +302,12 @@ func (r *Registry) loadFromStore(id string, store *ckpt.Store, counters *metrics
 	return sm, nil
 }
 
-// scorerForSnapshot rebuilds the workload-appropriate prediction path
-// for a snapshot loaded from disk: the GLM linear-score rule, the NN
-// forward pass (architecture read from nn's table by dataset name; no
-// dataset is built), or the Gibbs marginal lookup. An unknown spec or
-// dataset degrades to a nil scorer — the model lists but cannot
-// predict.
+// scorerForSnapshot builds the workload-appropriate prediction path
+// for a snapshot, published or loaded from disk: the GLM linear-score
+// rule, the NN forward pass (architecture read from nn's table by
+// dataset name; no dataset is built), or the Gibbs marginal lookup. An
+// unknown spec or dataset degrades to a nil scorer — the model lists
+// but cannot predict.
 func scorerForSnapshot(snap core.Snapshot) (model.Spec, Scorer) {
 	switch snap.Workload {
 	case core.WorkloadGLM:
@@ -330,6 +331,23 @@ func scorerForSnapshot(snap core.Snapshot) (model.Spec, Scorer) {
 	default:
 		return nil, nil
 	}
+}
+
+// marginalScorer serves Gibbs snapshots: each example selects one
+// variable index and the prediction is its pooled marginal P(x=1).
+func marginalScorer(x []float64, examples []model.Example) ([]float64, error) {
+	out := make([]float64, len(examples))
+	for i, ex := range examples {
+		if len(ex.Idx) != 1 {
+			return nil, fmt.Errorf("serve: gibbs example %d must select exactly one variable index, got %d", i, len(ex.Idx))
+		}
+		v := int(ex.Idx[0])
+		if v < 0 || v >= len(x) {
+			return nil, fmt.Errorf("serve: gibbs example %d selects variable %d of %d", i, v, len(x))
+		}
+		out[i] = x[v]
+	}
+	return out, nil
 }
 
 // Get returns the spec and snapshot registered under id, consulting

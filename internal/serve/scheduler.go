@@ -91,8 +91,9 @@ type TrainRequest struct {
 	Machine string `json:"machine,omitempty"`
 	// Access forces an access method ("row", "col", "ctr") instead of
 	// the cost-based optimizer's choice; glm only (gibbs is inherently
-	// column-to-row, nn row-wise). Forced plans bypass the plan cache;
-	// the engine rejects unsupported spec/access pairs.
+	// column-to-row, nn row-wise). A forced plan skips the optimizer
+	// and its feedback exploration; the engine rejects unsupported
+	// spec/access pairs.
 	Access string `json:"access,omitempty"`
 	// Executor selects the execution backend: "simulated" (default;
 	// deterministic interleaver on the NUMA cost simulator) or
@@ -245,9 +246,8 @@ type JobStatus struct {
 	Online *OnlineStatus `json:"online,omitempty"`
 	// PlanSource reports how the executed plan was chosen: "static"
 	// (word-cost prior), "measured" (feedback overrode the prior),
-	// "explore" (epsilon draw ran the decision's runner-up), "cached"
-	// (plan cache hit), "forced" (request's access override) or "warm"
-	// (snapshot's pinned plan).
+	// "explore" (epsilon draw ran the decision's runner-up), "forced"
+	// (request's access override) or "warm" (snapshot's pinned plan).
 	PlanSource string `json:"plan_source,omitempty"`
 	// PredictedSecondsPerEpoch is the feedback store's cost forecast for
 	// the executed plan at planning time; 0 when the plan's observation
@@ -274,7 +274,7 @@ type job struct {
 	// wl is the job's workload; a Workload binds to one engine, so it
 	// is built per job at submission.
 	wl core.Workload
-	// spec and ds are set for glm jobs only (plan-cache keys, registry
+	// spec and ds are set for glm jobs only (feedback keys, registry
 	// publication).
 	spec model.Spec
 	ds   *data.Dataset
@@ -297,7 +297,7 @@ type job struct {
 	plan        core.Plan
 	planned     bool
 	// planSource records how the executed plan was chosen ("static",
-	// "measured", "explore", "cached", "forced", "warm") and predicted
+	// "measured", "explore", "forced", "warm") and predicted
 	// the feedback store's cost forecast for it at planning time (0
 	// when the plan's key had no observations). tuneKey is the
 	// observation key epochs record under; it is written before the
@@ -399,8 +399,8 @@ type Options struct {
 	// pass a store to share it or to attach durable persistence.
 	Feedback *tune.Store
 	// DisableFeedback turns the feedback loop off entirely: plans come
-	// from the static cost model alone, epochs record nothing, and the
-	// plan cache never invalidates on a winner flip.
+	// from the static cost model alone, epochs record nothing, and no
+	// job explores a runner-up.
 	DisableFeedback bool
 	// MaxBodyBytes caps the request body every POST handler will read;
 	// an oversized body answers 413 instead of exhausting memory. 0
@@ -460,7 +460,6 @@ func (o Options) normalize() Options {
 type Scheduler struct {
 	opts     Options
 	counters *metrics.ServeCounters
-	plans    *PlanCache
 	models   *Registry
 	catalog  *Catalog
 	// feedback is the self-tuning optimizer's observation store; nil
@@ -488,7 +487,6 @@ func NewScheduler(opts Options) *Scheduler {
 	s := &Scheduler{
 		opts:     opts,
 		counters: opts.Counters,
-		plans:    NewPlanCache(),
 		models:   NewRegistry(),
 		catalog:  NewCatalog(),
 		feedback: opts.Feedback,
@@ -545,9 +543,6 @@ func (s *Scheduler) Models() *Registry { return s.models }
 // Catalog returns the dataset catalog every job and append resolves
 // names through.
 func (s *Scheduler) Catalog() *Catalog { return s.catalog }
-
-// Plans returns the shared plan cache.
-func (s *Scheduler) Plans() *PlanCache { return s.plans }
 
 // Feedback returns the self-tuning optimizer's observation store, or
 // nil when the feedback loop is disabled.
@@ -969,21 +964,17 @@ const (
 	planSourceStatic   = "static"   // the word-cost prior decided
 	planSourceMeasured = "measured" // feedback overrode the prior
 	planSourceExplore  = "explore"  // epsilon draw ran the runner-up
-	planSourceCached   = "cached"   // plan cache hit
 	planSourceForced   = "forced"   // request's access override
 	planSourceWarm     = "warm"     // snapshot's pinned plan
 )
 
-// planFor resolves the job's execution plan, consulting the plan cache
-// when the optimizer would decide (no access override). The requested
-// executor and the workload kind are both part of the cache key: the
-// executor narrows the access methods the optimizer may price, and
-// heterogeneous workloads keep separate registries whose dataset names
-// may collide. With the feedback loop on, a cache miss runs the
-// cost-model-aware optimizer — the static estimate is the prior, a key
-// with enough observed epochs wins on measurement — and an epsilon
-// draw occasionally runs the decision's runner-up (the cache still
-// stores the winner, so exploration never poisons later lookups).
+// planFor resolves the job's execution plan. Unless the request forces
+// an access method, every job runs the optimizer afresh against the
+// current feedback store: the static estimate is the prior, a plan
+// whose observation key has enough epochs wins on measurement, and an
+// epsilon draw occasionally runs the decision's runner-up so the
+// alternative keeps being measured. A decision costs at most about one
+// epoch, a small share of a job, so nothing memoises it.
 func (s *Scheduler) planFor(j *job) (core.Plan, error) {
 	exec, _ := core.ExecutorByName(j.req.Executor) // validated at Submit
 	if j.req.Access != "" {                        // glm only, validated at Submit
@@ -1001,13 +992,6 @@ func (s *Scheduler) planFor(j *job) (core.Plan, error) {
 		}
 		return plan, nil
 	}
-	key := s.keyFor(j, exec)
-	if plan, ok := s.plans.Lookup(key); ok {
-		s.counters.Inc(metrics.PlanCacheHits)
-		s.setPlanSource(j, planSourceCached, s.predictFor(j, plan))
-		return plan, nil
-	}
-	s.counters.Inc(metrics.PlanCacheMisses)
 	// A nil cost model reduces the decision to the static optimizer's
 	// choice, so feedback off takes the same call.
 	var cm core.CostModel
@@ -1018,7 +1002,6 @@ func (s *Scheduler) planFor(j *job) (core.Plan, error) {
 	if err != nil {
 		return s.planFallback(j, exec, err)
 	}
-	s.plans.Store(key, dec.Plan)
 	plan, source, predicted := dec.Plan, dec.Source, dec.PredictedSeconds
 	if dec.RunnerUp != nil && s.feedback != nil && s.feedback.Explore() {
 		plan = *dec.RunnerUp
@@ -1059,7 +1042,7 @@ func (s *Scheduler) predictFor(j *job, p core.Plan) float64 {
 	if s.feedback == nil {
 		return 0
 	}
-	if obs, ok := s.feedback.Lookup(s.obsKeyFor(j, p)); ok {
+	if obs, ok := s.feedback.Lookup(obsKeyFor(j, p)); ok {
 		return obs.SecondsPerEpoch
 	}
 	return 0
@@ -1075,14 +1058,14 @@ type jobCostModel struct {
 
 // MeasuredSeconds implements core.CostModel.
 func (m jobCostModel) MeasuredSeconds(p core.Plan) (float64, bool) {
-	return m.s.feedback.Measured(m.s.obsKeyFor(m.j, p))
+	return m.s.feedback.Measured(obsKeyFor(m.j, p))
 }
 
 // obsKeyFor builds the observation key for a plan executed by this
 // job: workload identity, dataset fingerprint, and the plan axes the
 // optimizer chooses between. The plan's own machine name is used (a
 // warm start may pin a topology the request never named).
-func (s *Scheduler) obsKeyFor(j *job, p core.Plan) tune.Key {
+func obsKeyFor(j *job, p core.Plan) tune.Key {
 	k := tune.Key{
 		Workload:   j.kind.String(),
 		Machine:    p.Machine.Name,
@@ -1104,45 +1087,6 @@ func (s *Scheduler) obsKeyFor(j *job, p core.Plan) tune.Key {
 		k.Rows, k.Cols, k.NNZ = j.wl.Units(), j.wl.Dim(), j.wl.DataNNZ()
 	}
 	return k
-}
-
-// replan re-runs the feedback-aware optimizer after a job's epochs
-// landed in the store and invalidates the cached plan if the winner
-// flipped — the cache's generational contract. The corrected winner is
-// stored immediately, so the next submission hits the cache on the
-// current decision rather than re-planning.
-func (s *Scheduler) replan(j *job, exec core.ExecutorKind) {
-	key := s.keyFor(j, exec)
-	cached, ok := s.plans.Peek(key)
-	if !ok {
-		return
-	}
-	dec, err := core.ChoosePlanModel(j.wl, j.top, exec, jobCostModel{s: s, j: j})
-	if err != nil {
-		return
-	}
-	if samePlanAxes(cached, dec.Plan) {
-		return
-	}
-	s.plans.Invalidate(key)
-	s.plans.Store(key, dec.Plan)
-}
-
-// samePlanAxes compares the plan axes the feedback store keys on; the
-// tuning knobs outside them (step sizes, sync cadence) do not
-// constitute a winner flip.
-func samePlanAxes(a, b core.Plan) bool {
-	return a.Access == b.Access && a.ModelRep == b.ModelRep && a.DataRep == b.DataRep &&
-		a.Executor == b.Executor && a.Workers == b.Workers && a.StealChunk == b.StealChunk
-}
-
-// keyFor builds the job's plan-cache key: the GLM key carries the
-// dataset's task semantics, the workload key its kind and shape.
-func (s *Scheduler) keyFor(j *job, exec core.ExecutorKind) PlanKey {
-	if j.kind == core.WorkloadGLM {
-		return KeyFor(j.spec, j.ds, j.top, exec)
-	}
-	return KeyForWorkload(j.wl, j.top, exec)
 }
 
 // run executes one job on the calling worker goroutine.
@@ -1237,7 +1181,7 @@ func (s *Scheduler) run(j *job) {
 		// store prices what actually ran. Flush once at job end — the
 		// store is in-memory authoritative; a failed write-through only
 		// loses learning across a restart.
-		j.tuneKey = s.obsKeyFor(j, eng.Plan())
+		j.tuneKey = obsKeyFor(j, eng.Plan())
 		j.hasTuneKey = true
 		defer func() {
 			if err := s.feedback.Flush(); err != nil {
@@ -1383,12 +1327,6 @@ func (s *Scheduler) run(j *job) {
 	j.qmetrics = final
 	s.mu.Unlock()
 
-	if s.feedback != nil {
-		// The job's epochs are in the store; re-run the decision and
-		// invalidate the cached plan if the measured winner flipped.
-		s.replan(j, eng.ExecutorKind())
-	}
-
 	var persistErr error
 	if j.handle != nil {
 		// The final model runs the same shadow/canary gate as the
@@ -1532,20 +1470,14 @@ func (s *Scheduler) recordEpoch(j *job, eng *core.Engine, er core.EpochResult) {
 	}
 }
 
-// publish registers the finished job's snapshot with a workload-
-// appropriate scorer and surfaces terminal state (gibbs marginals).
-// The returned error reports a failed durable write-through; the
-// in-memory registration always happens.
+// publish registers the finished job's snapshot — the registry picks
+// the scorer from the snapshot's own workload identity, the same path
+// restored and pushed snapshots take — and surfaces terminal state
+// (gibbs marginals). The returned error reports a failed durable
+// write-through; the in-memory registration always happens.
 func (s *Scheduler) publish(j *job, snap core.Snapshot) error {
-	var err error
-	switch j.kind {
-	case core.WorkloadGLM:
-		err = s.models.Put(j.id, j.spec, snap)
-	case core.WorkloadNN:
-		wl := j.wl.(*nn.Workload)
-		err = s.models.PutScored(j.id, wl.PredictBatch, snap)
-	case core.WorkloadGibbs:
-		err = s.models.PutScored(j.id, marginalScorer, snap)
+	err := s.models.PutSnapshot(j.id, snap)
+	if j.kind == core.WorkloadGibbs {
 		s.mu.Lock()
 		j.margins = snap.X
 		s.mu.Unlock()
@@ -1631,23 +1563,6 @@ func (s *Scheduler) publishOnline(j *job, snap core.Snapshot) error {
 	}
 	s.mu.Unlock()
 	return err
-}
-
-// marginalScorer serves Gibbs snapshots: each example selects one
-// variable index and the prediction is its pooled marginal P(x=1).
-func marginalScorer(x []float64, examples []model.Example) ([]float64, error) {
-	out := make([]float64, len(examples))
-	for i, ex := range examples {
-		if len(ex.Idx) != 1 {
-			return nil, fmt.Errorf("serve: gibbs example %d must select exactly one variable index, got %d", i, len(ex.Idx))
-		}
-		v := int(ex.Idx[0])
-		if v < 0 || v >= len(x) {
-			return nil, fmt.Errorf("serve: gibbs example %d selects variable %d of %d", i, v, len(x))
-		}
-		out[i] = x[v]
-	}
-	return out, nil
 }
 
 // finish moves a job to a terminal state exactly once.

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"dimmwitted/internal/core"
+	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
 )
 
@@ -377,5 +379,82 @@ func TestSchedulerRejectsUnknownExecutor(t *testing.T) {
 	s := newTestScheduler(t, Options{})
 	if _, err := s.Submit(TrainRequest{Model: "svm", Dataset: "reuters", Executor: "threads"}); err == nil {
 		t.Fatal("unknown executor accepted")
+	}
+}
+
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	spec := model.NewSVM()
+	ds, err := NewCatalog().Dataset("reuters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.Choose(spec, ds, numa.Local2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.New(spec, ds, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunEpochs(3)
+	snap := eng.Snapshot()
+	if snap.Spec != "svm" || snap.Dataset != "reuters" || snap.Epoch != 3 {
+		t.Fatalf("snapshot metadata %+v", snap)
+	}
+	if snap.SimTime <= 0 || snap.SimTime != eng.SimTime() {
+		t.Errorf("snapshot sim time %v, engine %v", snap.SimTime, eng.SimTime())
+	}
+
+	// The snapshot must be isolated from further training.
+	before := append([]float64(nil), snap.X...)
+	eng.RunEpochs(2)
+	for i := range before {
+		if before[i] != snap.X[i] {
+			t.Fatal("snapshot mutated by continued training")
+		}
+	}
+
+	// Restoring into a fresh engine reproduces the snapshot's loss.
+	eng2, err := core.New(spec, ds, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng2.Restore(snap); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if got := eng2.Loss(); got != snap.Loss {
+		t.Errorf("restored loss %v, snapshot loss %v", got, snap.Loss)
+	}
+	if eng2.Epoch() != snap.Epoch {
+		t.Errorf("restored epoch %d, want %d", eng2.Epoch(), snap.Epoch)
+	}
+	if eng2.SimTime() != snap.SimTime {
+		t.Errorf("restored sim time %v, want %v", eng2.SimTime(), snap.SimTime)
+	}
+	// The decayed step schedule continues where the snapshot left off.
+	if snap.Step >= plan.Normalize(spec).Step {
+		t.Errorf("snapshot step %v did not decay from %v", snap.Step, plan.Normalize(spec).Step)
+	}
+	if got := eng2.Snapshot().Step; got != snap.Step {
+		t.Errorf("restored step %v, want %v", got, snap.Step)
+	}
+
+	// Mismatched specs and dimensions are rejected.
+	engLR, err := core.New(model.NewLR(), ds, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engLR.Restore(snap); err == nil {
+		t.Error("restore across specs succeeded")
+	}
+	short := snap
+	short.X = snap.X[:10]
+	if err := eng2.Restore(short); err == nil {
+		t.Error("restore with wrong dimension succeeded")
+	}
+
+	// Sanity: predictions can be served straight from the snapshot.
+	if _, err := model.PredictBatch(spec, snap.X, model.DatasetExamples(ds, []int{0, 1, 2})); err != nil {
+		t.Errorf("predict from snapshot: %v", err)
 	}
 }

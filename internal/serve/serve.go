@@ -1,18 +1,19 @@
 // Package serve turns the batch DimmWitted engine into a long-running
-// service: a concurrent training-job scheduler, a plan cache that
-// amortises the cost-based optimizer across repeated jobs, a model
-// registry serving batched predictions from trained snapshots, and a
-// stdlib net/http JSON API on top.
+// service: a concurrent training-job scheduler that plans every job
+// with the feedback-aware cost-based optimizer, a model registry
+// serving batched predictions from trained snapshots, and a stdlib
+// net/http JSON API on top.
 //
 // The architecture mirrors the paper's separation of statistical and
 // hardware efficiency one level up. Each training job is one engine —
 // one point in the tradeoff space — and jobs are scheduled onto a
 // worker pool sized from the simulated NUMA topology (one training
 // slot per socket), so the service exercises many engines concurrently
-// the way the engine exercises many cores. The plan cache plays the
-// role of the optimizer's install-time benchmark: plans are keyed by
-// (model, dataset statistics, topology), so a repeated workload skips
-// straight to execution. Trained models leave the engine as immutable
+// the way the engine exercises many cores. Like the paper's optimizer,
+// planning is a cheap cost-model evaluation run once per job — well
+// under one epoch's cost — against the feedback store's measured
+// epochs, so a repeated workload is planned on the latest
+// measurements. Trained models leave the engine as immutable
 // core.Snapshot values and are served lock-free-read from the
 // registry; prediction is the read path, training the write path.
 // Every dataset name a request carries (generated GLM datasets, this
@@ -44,7 +45,7 @@
 //	GET    /v1/models           list trained models
 //	POST   /v1/predict          batched predictions from a model
 //	GET    /v1/stats            serving counters, latency percentiles,
-//	                            predict stages, cache and queue stats
+//	                            predict stages, queue and optimizer stats
 //	GET    /v1/jobs/{id}/trace  span journal of a traced job (submit
 //	                            with "trace": true); ?format=chrome
 //	                            exports Chrome trace_event JSON

@@ -14,6 +14,7 @@ import (
 	"dimmwitted/internal/metrics"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
+	"dimmwitted/internal/tune"
 )
 
 // waitDone submits a request and waits for the job to finish
@@ -167,9 +168,10 @@ func TestWorkloadSubmitValidation(t *testing.T) {
 	}
 }
 
-// The plan cache must never hand a GLM plan to a Gibbs or NN job for a
-// colliding dataset name: the workload kind is part of the key.
-func TestPlanCacheKeyIncludesWorkloadKind(t *testing.T) {
+// A Gibbs job must never read a GLM job's measured costs for a
+// colliding dataset name: the workload kind is part of the feedback
+// key.
+func TestObsKeyIncludesWorkloadKind(t *testing.T) {
 	spec, err := model.ByName("svm")
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,7 @@ func TestPlanCacheKeyIncludesWorkloadKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	glmKey := KeyFor(spec, ds, numa.Local2, core.ExecSimulated)
+	glm := &job{kind: core.WorkloadGLM, wl: core.NewGLM(spec, ds), spec: spec, ds: ds}
 
 	// An adversarially named graph colliding with the GLM dataset.
 	g, err := factor.NewGraph(factor.Cycle5().NumVars, factor.Cycle5().Factors)
@@ -186,30 +188,23 @@ func TestPlanCacheKeyIncludesWorkloadKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Name = "reuters"
-	gibbsKey := KeyForWorkload(factor.NewWorkload(g), numa.Local2, core.ExecSimulated)
+	gibbs := &job{kind: core.WorkloadGibbs, wl: factor.NewWorkload(g)}
 
-	if glmKey == gibbsKey {
-		t.Fatal("GLM and Gibbs plan-cache keys collide for the same dataset name")
+	plan := core.Plan{Machine: numa.Local2, Access: model.RowWise}
+	glmKey, gibbsKey := obsKeyFor(glm, plan), obsKeyFor(gibbs, plan)
+	if glmKey.Dataset != gibbsKey.Dataset {
+		t.Fatalf("dataset names %q and %q do not collide", glmKey.Dataset, gibbsKey.Dataset)
 	}
-	if gibbsKey.Workload != core.WorkloadGibbs || glmKey.Workload != core.WorkloadGLM {
+	if glmKey == gibbsKey {
+		t.Fatal("GLM and Gibbs feedback keys collide for the same dataset name and plan")
+	}
+	if gibbsKey.Workload != "gibbs" || glmKey.Workload != "glm" {
 		t.Errorf("keys do not carry workload kinds: %+v vs %+v", glmKey, gibbsKey)
 	}
-	c := NewPlanCache()
-	c.Store(glmKey, core.Plan{Access: model.RowWise})
-	if _, ok := c.Lookup(gibbsKey); ok {
-		t.Fatal("gibbs key hit a cached GLM plan")
-	}
-}
-
-// Two gibbs jobs for the same graph share one optimizer decision.
-func TestGibbsPlanCacheHit(t *testing.T) {
-	s := NewScheduler(Options{})
-	defer s.Close()
-	waitDone(t, s, TrainRequest{Workload: "gibbs", Dataset: "pairs4", MaxEpochs: 5})
-	waitDone(t, s, TrainRequest{Workload: "gibbs", Dataset: "pairs4", MaxEpochs: 5})
-	stats := s.Plans().Stats()
-	if stats.Hits == 0 {
-		t.Errorf("second gibbs job missed the plan cache: %+v", stats)
+	fb := tune.NewStore(tune.Options{MinObservations: 1})
+	fb.Record(glmKey, tune.Sample{SecondsPerEpoch: 1e-3})
+	if _, ok := fb.Measured(gibbsKey); ok {
+		t.Fatal("gibbs key read the GLM job's observation")
 	}
 }
 

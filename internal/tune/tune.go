@@ -19,10 +19,11 @@ import (
 
 // Key identifies one plan-cost observation stream. It carries the
 // workload identity, the dataset-stats fingerprint (shape aggregates
-// plus the registry name that pins the nonzero distribution — the same
-// reasoning as serve.PlanKey), and the full plan axes the optimizer
-// chooses between: executor, model replication, data replication,
-// access method, worker count and steal-chunk granularity. Two plans
+// plus the registry name that pins the nonzero distribution: two
+// datasets with equal shape but different skew may deserve different
+// plans), and the full plan axes the optimizer chooses between:
+// executor, model replication, data replication, access method,
+// worker count and steal-chunk granularity. Two plans
 // that differ in any axis measure independently.
 type Key struct {
 	// Workload is the workload family ("glm", "gibbs", "nn").
